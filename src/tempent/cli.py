@@ -300,19 +300,28 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     params = None
     if command is not Command.VERIFY_FRAC:
         params = EntropyParams(sigma=args.sigma, lam=args.lam)
+    n_grid = list(getattr(args, "n", []))
+    if hasattr(args, "n") and not n_grid:
+        raise DomainError("--n needs at least one size")
+    samples = getattr(args, "samples", 10_000)
+    if samples <= 0:
+        raise DomainError(f"--samples must be positive, got {samples}")
+    tol = getattr(args, "tol", 1e-6)
+    if not tol > 0.0:
+        raise DomainError(f"--tol must be positive, got {tol!r}")
     return RunConfig(
         command=command,
         params=params,
-        n_grid=list(getattr(args, "n", []) or []),
-        delta=float(getattr(args, "delta", 0.0) or 0.0),
-        seed=int(getattr(args, "seed", 0) or 0),
-        samples=int(getattr(args, "samples", 10_000) or 10_000),
+        n_grid=n_grid,
+        delta=getattr(args, "delta", 0.0),
+        seed=getattr(args, "seed", 0),
+        samples=samples,
         output_path=getattr(args, "out", None),
         control_q=getattr(args, "control_q", None),
         dist=tuple(args.dist) if getattr(args, "dist", None) is not None else None,
-        families=tuple(getattr(args, "family", []) or []),
-        iterations=int(getattr(args, "samples", 10_000) or 10_000),
-        tol=float(getattr(args, "tol", 1e-6) or 1e-6),
+        families=tuple(getattr(args, "family", ())),
+        iterations=samples,
+        tol=tol,
     )
 
 

@@ -44,6 +44,19 @@ from .core import (
 # measured L1 must certify against the declared budget this tightly
 L1_TOL = 1e-12
 
+# The climb admits a move while its running L1 stays within delta plus this
+# margin.  The running sum drifts from the exact L1 by rounding, so the margin
+# sits well inside L1_TOL: a pair the climb admits must never be one that
+# PerturbPair then rejects at L1_TOL.
+_CLIMB_L1_GUARD = L1_TOL / 10
+
+# random_pair_search recomputes its running S(w), S(w') and L1 exactly every
+# this many steps.  An accepted move adds at most ~1.1e-15 of rounding to the
+# running L1 (values <= 2), so 256 moves drift < 3e-13, inside the 9e-13
+# between _CLIMB_L1_GUARD and L1_TOL.  A resync costs two O(n) entropies,
+# spread over 256 O(1) steps.
+RESYNC_STEPS = 256
+
 
 class Family(enum.Enum):
     CERTAINTY_A = "A"
@@ -282,7 +295,16 @@ def random_pair_search(
     Hill climb over mass-transfer moves of size eps = delta/10, cooled by
     half after iterations//5 consecutive non-improving steps.  The
     structured family pairs are seeded as starting candidates, so the
-    returned ratio is never below theirs.  Deterministic for a given seed.
+    returned ratio is never below theirs.
+
+    A step costs O(1) in n: a move changes two weights on one side, so
+    S(w), S(w') and the L1 distance are kept as running sums updated from
+    the changed generator terms, and an accepted move is applied in place.
+    Every RESYNC_STEPS steps all three are recomputed exactly.  Each step
+    draws one side, then one index pair, from the seeded stream, so a
+    given seed always gives the same climb.  The returned pair is
+    certified by PerturbPair and its entropies and ratio are evaluated
+    exactly.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
@@ -293,10 +315,12 @@ def random_pair_search(
     rng = np.random.default_rng(seed)
     smax = max_entropy(n, params)
 
-    def ratio_of(w: np.ndarray, wp: np.ndarray) -> float:
-        return abs(
-            entropy(make_dist(w), params) - entropy(make_dist(wp), params)
-        ) / smax
+    def entropies(w: np.ndarray, wp: np.ndarray) -> tuple[float, float]:
+        return entropy(make_dist(w), params), entropy(make_dist(wp), params)
+
+    def f(x: float) -> float:
+        # b + amt can round just above 1.0, where generator refuses
+        return generator(min(x, 1.0), params)
 
     # candidate starts: structured families plus a random interior pair
     starts: list[tuple[np.ndarray, np.ndarray]] = []
@@ -310,58 +334,48 @@ def random_pair_search(
     base /= base.sum()
     starts.append((base.copy(), base.copy()))
 
-    best_w, best_wp = starts[0]
-    best_ratio = ratio_of(best_w, best_wp)
-    for w, wp in starts[1:]:
-        r = ratio_of(w, wp)
-        if r > best_ratio:
-            best_ratio, best_w, best_wp = r, w, wp
+    cur_ratio = -math.inf
+    for w, wp in starts:
+        s = entropies(w, wp)
+        r = abs(s[0] - s[1]) / smax
+        if r > cur_ratio:
+            cur_w, cur_wp, cur_s, cur_ratio = w, wp, list(s), r
+    l1 = float(np.abs(cur_w - cur_wp).sum())
 
-    cur_w, cur_wp = best_w.copy(), best_wp.copy()
-    cur_ratio = best_ratio
+    # only improving moves are accepted, so the current pair is the best
     eps = delta / 10.0
     stall_limit = max(1, iterations // 5)
     stall = 0
-    for _ in range(iterations):
+    for step in range(1, iterations + 1):
         # move mass within one side of the pair, keeping the other fixed
-        side = rng.integers(0, 2)
-        w = cur_w.copy()
-        wp = cur_wp.copy()
-        target = wp if side else w
+        side = int(rng.integers(0, 2))
+        target, other = (cur_wp, cur_w) if side else (cur_w, cur_wp)
         i, j = rng.choice(n, size=2, replace=False)
-        amt = min(eps, target[i])
-        target[i] -= amt
-        target[j] += amt
-        l1 = float(np.abs(w - wp).sum())
-        if l1 > delta + 1e-13:
-            stall += 1
-        else:
-            r = ratio_of(w, wp)
+        a, b = float(target[i]), float(target[j])
+        oa, ob = float(other[i]), float(other[j])
+        amt = min(eps, a)
+        a_new, b_new = a - amt, b + amt
+        new_l1 = (
+            l1 + (abs(a_new - oa) - abs(a - oa)) + (abs(b_new - ob) - abs(b - ob))
+        )
+        improved = False
+        if new_l1 <= delta + _CLIMB_L1_GUARD:
+            s_new = cur_s[side] + ((f(a_new) - f(a)) + (f(b_new) - f(b)))
+            r = abs(s_new - cur_s[1 - side]) / smax
             if r > cur_ratio:
-                cur_w, cur_wp, cur_ratio = w, wp, r
-                stall = 0
-            else:
-                stall += 1
+                target[i], target[j] = a_new, b_new
+                cur_s[side], cur_ratio, l1 = s_new, r, new_l1
+                improved = True
+        stall = 0 if improved else stall + 1
         if stall >= stall_limit:
             eps *= 0.5
             stall = 0
-        if cur_ratio > best_ratio:
-            best_ratio = cur_ratio
-            best_w, best_wp = cur_w.copy(), cur_wp.copy()
+        if step % RESYNC_STEPS == 0:
+            cur_s = list(entropies(cur_w, cur_wp))
+            cur_ratio = abs(cur_s[0] - cur_s[1]) / smax
+            l1 = float(np.abs(cur_w - cur_wp).sum())
 
     pair = PerturbPair(
-        make_dist(best_w), make_dist(best_wp), delta, Family.RANDOM_SEARCH
+        make_dist(cur_w), make_dist(cur_wp), delta, Family.RANDOM_SEARCH
     )
-    s_p = entropy(pair.p, params)
-    s_pp = entropy(pair.p_prime, params)
-    record = StabilityRecord(
-        family=Family.RANDOM_SEARCH.value,
-        n=n,
-        delta=delta,
-        sigma=params.sigma,
-        lam=params.lam,
-        s_p=s_p,
-        s_p_prime=s_pp,
-        ratio=abs(s_p - s_pp) / smax,
-    )
-    return pair, record
+    return pair, stability_ratio(pair, params)

@@ -59,6 +59,15 @@ class TestCheckAxiomsCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_zero_samples_exits_2(self, capsys):
+        assert run(["check-axioms", "--sigma", "0.5", "--n", "3", "--samples", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_empty_n_exits_2(self, capsys):
+        assert run(["check-axioms", "--sigma", "0.5", "--n", ","]) == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestSweepCommand:
     def test_rows_and_header(self, capsys):
         code = run(
@@ -133,6 +142,12 @@ class TestSearchCommand:
         capsys.readouterr()
 
 
+    def test_zero_samples_exits_2(self, capsys):
+        argv = ["search", "--sigma", "1", "--delta", "0.1", "--n", "3", "--samples", "0"]
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestVerifyFracCommand:
     def test_default_grid_passes(self, tmp_path):
         out = tmp_path / "vf.csv"
@@ -151,3 +166,11 @@ class TestVerifyFracCommand:
         assert run(["verify-frac", "--out", str(a)]) == 0
         assert run(["verify-frac", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_zero_tol_exits_2(self, capsys):
+        assert run(["verify-frac", "--tol", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_tol_exits_2(self, capsys):
+        assert run(["verify-frac", "--tol", "-1"]) == 2
+        assert capsys.readouterr().out == ""

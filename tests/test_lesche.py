@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -20,7 +21,8 @@ from tempent import (
     stability_ratio,
     sweep,
 )
-from tempent.lesche import _family_entropies
+import tempent.lesche
+from tempent.lesche import RESYNC_STEPS, _family_entropies
 
 # frozen reference values, mpmath at 50 significant digits
 RATIO_A_N2 = 0.28639695711595613     # family A, n=2, delta=0.1, sigma=1, lam=0
@@ -245,7 +247,55 @@ class TestSweep:
             sweep(["C"], [100], 1e-3, EntropyParams(0.5))
 
 
+# float.hex of (s_p, s_p_prime, ratio) and a sha256 of both weight vectors,
+# recorded from a climb that evaluated both entropies exactly on every step;
+# the running sums must take the same accept/reject decisions
+CLIMB_GOLDEN = [
+    ((3, 1.0, 0.0, 7, 10_000), "0x0.0p+0", "0x1.dd8998ec26e0ap-3", "0x1.b2ac6102e49a3p-3",
+     "18ffb7129be34080f8d3274d446161dacb8418f8c832fddac20e010134d9d132"),
+    ((5, 0.5, 1.0, 3, 800), "0x0.0p+0", "0x1.70de2ab2d3b21p-4", "0x1.2bb5a68f84275p-3",
+     "b14880a27e52c81391604c5a896cca5135d1f0778784cc5936d10b0d9730b00c"),
+    ((100, 0.25, 0.0, 1, 2000), "0x0.0p+0", "0x1.11f8518a453b3p-1", "0x1.760b04813e1cep-2",
+     "cc9a3b0dc0b2d75324239259d2883a7c8aed21456d5b639886e086792f69f9df"),
+    ((10_000, 0.5, 1.0, 0, 500), "0x0.0p+0", "0x1.3efef974b3866p-3", "0x1.229be5976aa61p-4",
+     "7a261163995861362cb6b0876e67fb65dac567c7e355ef2d044cd9e4d08c8a6b"),
+]
+
+
 class TestRandomPairSearch:
+    @pytest.mark.parametrize("case,s_p,s_pp,ratio,digest", CLIMB_GOLDEN)
+    def test_golden_trajectory(self, case, s_p, s_pp, ratio, digest):
+        n, sigma, lam, seed, iterations = case
+        pair, rec = random_pair_search(
+            n, 0.1, EntropyParams(sigma, lam), iterations=iterations, seed=seed
+        )
+        assert (rec.s_p.hex(), rec.s_p_prime.hex(), rec.ratio.hex()) == (s_p, s_pp, ratio)
+        h = hashlib.sha256()
+        h.update(pair.p.weights.astype("<f8").tobytes())
+        h.update(pair.p_prime.weights.astype("<f8").tobytes())
+        assert h.hexdigest() == digest
+
+    def test_steps_make_no_full_evaluations(self, monkeypatch):
+        # only the periodic resyncs may evaluate whole distributions
+        calls = {"entropy": 0, "make_dist": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(tempent.lesche, "entropy", counted("entropy", entropy))
+        monkeypatch.setattr(tempent.lesche, "make_dist", counted("make_dist", make_dist))
+        params = EntropyParams(0.5, 1.0)
+        random_pair_search(50, 0.1, params, iterations=0, seed=2)
+        base = dict(calls)
+        random_pair_search(50, 0.1, params, iterations=3000, seed=2)
+        resyncs = 3000 // RESYNC_STEPS
+        assert resyncs > 0
+        assert calls["entropy"] - 2 * base["entropy"] == 2 * resyncs
+        assert calls["make_dist"] - 2 * base["make_dist"] == 2 * resyncs
+
     def test_deterministic(self):
         a = random_pair_search(3, 0.1, EntropyParams(1.0), iterations=1500, seed=7)
         b = random_pair_search(3, 0.1, EntropyParams(1.0), iterations=1500, seed=7)
