@@ -16,9 +16,7 @@ Every subcommand is deterministic for a fixed argv (seeded RNG only).
 from __future__ import annotations
 
 import argparse
-import enum
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -44,37 +42,11 @@ _USER_ERRORS = (
 )
 
 
-class Command(enum.Enum):
-    ENTROPY = "entropy"
-    CHECK_AXIOMS = "check-axioms"
-    SWEEP = "sweep"
-    SEARCH = "search"
-    VERIFY_FRAC = "verify-frac"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed, validated invocation state for one subcommand run."""
-
-    command: Command
-    params: Optional[EntropyParams]
-    n_grid: list = field(default_factory=list)
-    delta: float = 0.0
-    seed: int = 0
-    samples: int = 10_000
-    output_path: Optional[str] = None
-    control_q: Optional[float] = None
-    dist: Optional[tuple] = None
-    families: tuple = ()
-    iterations: int = 10_000
-    tol: float = 1e-6
-
-
 def _fmt(x) -> str:
     return format(float(x), ".8g")
 
 
-def _emit(lines: list[str], path: Optional[str]) -> None:
+def _emit(lines: list[str], path: Optional[str] = None) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -83,18 +55,34 @@ def _emit(lines: list[str], path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+def _num_list(cast):
+    """argparse type: a nonempty comma-separated list of `cast` values."""
+
+    def parse(text: str) -> list:
+        try:
+            items = [cast(part) for part in text.split(",") if part != ""]
+        except ValueError as exc:
+            msg = f"bad {cast.__name__} list {text!r}"
+            raise argparse.ArgumentTypeError(msg) from exc
+        if not items:
+            raise argparse.ArgumentTypeError(f"need at least one value, got {text!r}")
+        return items
+
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
+def _positive(cast):
+    """argparse type: one `cast` value > 0; NaN is rejected too."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message
+    parse.__name__ = cast.__name__
+    return parse
 
 
 def _family_list(text: str) -> list[str]:
@@ -125,26 +113,31 @@ def _parser() -> argparse.ArgumentParser:
         )
 
     p_ent = sub.add_parser("entropy", help="evaluate S(p) for one distribution")
+    p_ent.set_defaults(func=_cmd_entropy)
     add_params(p_ent)
     p_ent.add_argument(
         "--dist",
-        type=_float_list,
+        type=_num_list(float),
         required=True,
         help="comma-separated weights, e.g. 0.5,0.5",
     )
 
     p_ax = sub.add_parser("check-axioms", help="run the axiom suite (CSV)")
+    p_ax.set_defaults(func=_cmd_check_axioms)
     add_params(p_ax)
-    p_ax.add_argument("--n", type=_int_list, default=[5], help="comma list of sizes")
-    p_ax.add_argument("--samples", type=int, default=10_000)
+    p_ax.add_argument(
+        "--n", type=_num_list(int), default=[5], help="comma list of sizes"
+    )
+    p_ax.add_argument("--samples", type=_positive(int), default=10_000)
     p_ax.add_argument("--seed", type=int, default=0)
     p_ax.add_argument("--out", default=None, help="CSV path (default stdout)")
 
     p_sw = sub.add_parser("sweep", help="stability ratios over an n-grid (CSV)")
+    p_sw.set_defaults(func=_cmd_sweep)
     add_params(p_sw)
     p_sw.add_argument("--family", type=_family_list, required=True, help="A, B, or A,B")
     p_sw.add_argument("--delta", type=float, required=True, help="L1 budget")
-    p_sw.add_argument("--n", type=_int_list, required=True, help="ascending sizes")
+    p_sw.add_argument("--n", type=_num_list(int), required=True, help="ascending sizes")
     p_sw.add_argument(
         "--control-renyi",
         dest="control_q",
@@ -156,37 +149,47 @@ def _parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--out", default=None)
 
     p_se = sub.add_parser("search", help="adversarial pair search (CSV)")
+    p_se.set_defaults(func=_cmd_search)
     add_params(p_se)
     p_se.add_argument("--delta", type=float, required=True)
-    p_se.add_argument("--n", type=_int_list, required=True, help="one size")
-    p_se.add_argument("--samples", type=int, default=10_000, help="hill-climb steps")
+    p_se.add_argument("--n", type=_num_list(int), required=True, help="one size")
+    p_se.add_argument(
+        "--samples", type=_positive(int), default=10_000, help="hill-climb steps"
+    )
     p_se.add_argument("--seed", type=int, default=0)
     p_se.add_argument("--out", default=None)
 
     p_vf = sub.add_parser(
         "verify-frac", help="numeric vs closed-form derivative grid (CSV)"
     )
+    p_vf.set_defaults(func=_cmd_verify_frac)
     p_vf.add_argument(
-        "--tol", type=float, default=1e-6, help="relative tolerance (default 1e-6)"
+        "--tol",
+        type=_positive(float),
+        default=1e-6,
+        help="relative tolerance (default 1e-6)",
     )
     p_vf.add_argument("--out", default=None)
     return ap
 
 
-def _cmd_entropy(cfg: RunConfig) -> int:
-    value = entropy(make_dist(cfg.dist), cfg.params)
-    _emit([_fmt(value)], cfg.output_path)
+def _params(args: argparse.Namespace) -> EntropyParams:
+    return EntropyParams(sigma=args.sigma, lam=args.lam)
+
+
+def _cmd_entropy(args: argparse.Namespace) -> int:
+    value = entropy(make_dist(args.dist), _params(args))
+    _emit([_fmt(value)])
     return 0
 
 
-def _cmd_check_axioms(cfg: RunConfig) -> int:
+def _cmd_check_axioms(args: argparse.Namespace) -> int:
+    params = _params(args)
     lines = ["axiom,config,samples,worst_violation,pass"]
     failed = False
-    for n in cfg.n_grid:
-        config = f"n={n};sigma={_fmt(cfg.params.sigma)};lambda={_fmt(cfg.params.lam)}"
-        for rep in ax.run_axiom_suite(
-            n, cfg.params, samples=cfg.samples, seed=cfg.seed
-        ):
+    for n in args.n:
+        config = f"n={n};sigma={_fmt(params.sigma)};lambda={_fmt(params.lam)}"
+        for rep in ax.run_axiom_suite(n, params, samples=args.samples, seed=args.seed):
             ok = rep.passed
             failed = failed or not ok
             lines.append(
@@ -200,7 +203,7 @@ def _cmd_check_axioms(cfg: RunConfig) -> int:
                     ]
                 )
             )
-    _emit(lines, cfg.output_path)
+    _emit(lines, args.out)
     return 1 if failed else 0
 
 
@@ -222,29 +225,29 @@ def _record_row(rec) -> str:
     )
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     records = sweep(
-        [Family(f) for f in cfg.families],
-        cfg.n_grid,
-        cfg.delta,
-        cfg.params,
-        control_q=cfg.control_q,
+        [Family(f) for f in args.family],
+        args.n,
+        args.delta,
+        _params(args),
+        control_q=args.control_q,
     )
-    _emit([_SWEEP_HEADER] + [_record_row(r) for r in records], cfg.output_path)
+    _emit([_SWEEP_HEADER] + [_record_row(r) for r in records], args.out)
     return 0
 
 
-def _cmd_search(cfg: RunConfig) -> int:
-    if len(cfg.n_grid) != 1:
-        raise DomainError(f"search takes exactly one n, got {cfg.n_grid}")
+def _cmd_search(args: argparse.Namespace) -> int:
+    if len(args.n) != 1:
+        raise DomainError(f"search takes exactly one n, got {args.n}")
     _, record = random_pair_search(
-        cfg.n_grid[0],
-        cfg.delta,
-        cfg.params,
-        iterations=cfg.iterations,
-        seed=cfg.seed,
+        args.n[0],
+        args.delta,
+        _params(args),
+        iterations=args.samples,
+        seed=args.seed,
     )
-    _emit([_SWEEP_HEADER, _record_row(record)], cfg.output_path)
+    _emit([_SWEEP_HEADER, _record_row(record)], args.out)
     return 0
 
 
@@ -255,11 +258,11 @@ _VF_LAMS = [0.0, 0.5, 1.0, 2.0]
 _VF_T = -1.0
 
 
-def _cmd_verify_frac(cfg: RunConfig) -> int:
+def _cmd_verify_frac(args: argparse.Namespace) -> int:
     lines = ["p,sigma,lambda,t,numeric,closed_form,rel_err"]
     worst_miss = False
     # allowance scales with --tol; the default 1e-6 gives max(1e-6*|ref|, 1e-9)
-    abs_floor = cfg.tol * 1e-3
+    abs_floor = args.tol * 1e-3
     for p in _VF_PS:
         for sigma in _VF_SIGMAS:
             for lam in _VF_LAMS:
@@ -267,7 +270,7 @@ def _cmd_verify_frac(cfg: RunConfig) -> int:
                 num = fd.tempered_derivative_numeric(fp)
                 ref = fd.closed_form_derivative(fp)
                 rel = abs(num - ref) / abs(ref)
-                if abs(num - ref) > max(cfg.tol * abs(ref), abs_floor):
+                if abs(num - ref) > max(args.tol * abs(ref), abs_floor):
                     worst_miss = True
                 lines.append(
                     ",".join(
@@ -282,47 +285,8 @@ def _cmd_verify_frac(cfg: RunConfig) -> int:
                         ]
                     )
                 )
-    _emit(lines, cfg.output_path)
+    _emit(lines, args.out)
     return 1 if worst_miss else 0
-
-
-_DISPATCH = {
-    Command.ENTROPY: _cmd_entropy,
-    Command.CHECK_AXIOMS: _cmd_check_axioms,
-    Command.SWEEP: _cmd_sweep,
-    Command.SEARCH: _cmd_search,
-    Command.VERIFY_FRAC: _cmd_verify_frac,
-}
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = Command(args.command)
-    params = None
-    if command is not Command.VERIFY_FRAC:
-        params = EntropyParams(sigma=args.sigma, lam=args.lam)
-    n_grid = list(getattr(args, "n", []))
-    if hasattr(args, "n") and not n_grid:
-        raise DomainError("--n needs at least one size")
-    samples = getattr(args, "samples", 10_000)
-    if samples <= 0:
-        raise DomainError(f"--samples must be positive, got {samples}")
-    tol = getattr(args, "tol", 1e-6)
-    if not tol > 0.0:
-        raise DomainError(f"--tol must be positive, got {tol!r}")
-    return RunConfig(
-        command=command,
-        params=params,
-        n_grid=n_grid,
-        delta=getattr(args, "delta", 0.0),
-        seed=getattr(args, "seed", 0),
-        samples=samples,
-        output_path=getattr(args, "out", None),
-        control_q=getattr(args, "control_q", None),
-        dist=tuple(args.dist) if getattr(args, "dist", None) is not None else None,
-        families=tuple(getattr(args, "family", ())),
-        iterations=samples,
-        tol=tol,
-    )
 
 
 def run(argv) -> int:
@@ -332,8 +296,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return args.func(args)
     except fd.ToleranceNotReached as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -98,7 +98,8 @@ class ProbDist:
 
     Weights are stored exactly as given (read-only array); construction
     rejects rather than repairs: negative entries raise NegativeWeight,
-    a sum off by more than SUM_TOL raises SumNotOne.
+    an entry above 1 raises DomainError, and a sum off by more than
+    SUM_TOL raises SumNotOne.
     """
 
     weights: np.ndarray
@@ -112,6 +113,10 @@ class ProbDist:
         if np.any(w < 0.0):
             bad = float(w[w < 0.0][0])
             raise NegativeWeight(f"negative weight {bad!r}")
+        # the sum check alone admits 1 + 1 ulp, where -ln w < 0 and S is NaN
+        if w.max() > 1.0:
+            bad = float(w[w > 1.0][0])
+            raise DomainError(f"weight {bad!r} exceeds 1")
         total = float(w.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise SumNotOne(f"weights sum to {total!r}, not 1 within {SUM_TOL}")

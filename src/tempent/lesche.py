@@ -140,20 +140,39 @@ def family_b_pair(n: int, delta: float) -> PerturbPair:
     return PerturbPair(make_dist(w), make_dist(wp), delta, Family.UNIFORM_B)
 
 
-def stability_ratio(pair: PerturbPair, params: EntropyParams) -> StabilityRecord:
-    """Evaluate both entropies explicitly and normalize by S_max."""
-    s_p = entropy(pair.p, params)
-    s_pp = entropy(pair.p_prime, params)
-    ratio = abs(s_p - s_pp) / max_entropy(pair.p.n, params)
+def _record(
+    family: str,
+    n: int,
+    delta: float,
+    params: EntropyParams,
+    s_p: float,
+    s_pp: float,
+    norm: float,
+) -> StabilityRecord:
+    """The one place a StabilityRecord is built: ratio = |s_p - s_pp| / norm."""
     return StabilityRecord(
-        family=pair.family.value,
-        n=pair.p.n,
-        delta=pair.delta,
+        family=family,
+        n=n,
+        delta=delta,
         sigma=params.sigma,
         lam=params.lam,
         s_p=s_p,
         s_p_prime=s_pp,
-        ratio=ratio,
+        ratio=abs(s_p - s_pp) / norm,
+    )
+
+
+def stability_ratio(pair: PerturbPair, params: EntropyParams) -> StabilityRecord:
+    """Evaluate both entropies explicitly and normalize by S_max."""
+    n = pair.p.n
+    return _record(
+        pair.family.value,
+        n,
+        pair.delta,
+        params,
+        entropy(pair.p, params),
+        entropy(pair.p_prime, params),
+        max_entropy(n, params),
     )
 
 
@@ -250,34 +269,15 @@ def sweep(
     records = []
     for fam in fams:
         for n in ns:
-            s_p, s_pp = _family_entropies(fam, n, delta, params)
-            ratio = abs(s_p - s_pp) / max_entropy(n, params)
+            s = _family_entropies(fam, n, delta, params)
             records.append(
-                StabilityRecord(
-                    family=fam.value,
-                    n=n,
-                    delta=delta,
-                    sigma=params.sigma,
-                    lam=params.lam,
-                    s_p=s_p,
-                    s_p_prime=s_pp,
-                    ratio=ratio,
-                )
+                _record(fam.value, n, delta, params, *s, max_entropy(n, params))
             )
         if control_q is not None:
             for n in ns:
-                r_p, r_pp = _family_renyi(fam, n, delta, control_q)
+                r = _family_renyi(fam, n, delta, control_q)
                 records.append(
-                    StabilityRecord(
-                        family=f"{fam.value}_renyi",
-                        n=n,
-                        delta=delta,
-                        sigma=params.sigma,
-                        lam=params.lam,
-                        s_p=r_p,
-                        s_p_prime=r_pp,
-                        ratio=abs(r_p - r_pp) / math.log(n),
-                    )
+                    _record(f"{fam.value}_renyi", n, delta, params, *r, math.log(n))
                 )
     records.sort(key=lambda r: (r.family, r.n))
     return records
@@ -318,10 +318,6 @@ def random_pair_search(
     def entropies(w: np.ndarray, wp: np.ndarray) -> tuple[float, float]:
         return entropy(make_dist(w), params), entropy(make_dist(wp), params)
 
-    def f(x: float) -> float:
-        # b + amt can round just above 1.0, where generator refuses
-        return generator(min(x, 1.0), params)
-
     # candidate starts: structured families plus a random interior pair
     starts: list[tuple[np.ndarray, np.ndarray]] = []
     if delta > 0.0:
@@ -354,13 +350,17 @@ def random_pair_search(
         a, b = float(target[i]), float(target[j])
         oa, ob = float(other[i]), float(other[j])
         amt = min(eps, a)
-        a_new, b_new = a - amt, b + amt
+        # b + amt can round just above 1.0, which no weight may exceed
+        a_new, b_new = a - amt, min(b + amt, 1.0)
         new_l1 = (
             l1 + (abs(a_new - oa) - abs(a - oa)) + (abs(b_new - ob) - abs(b - ob))
         )
         improved = False
         if new_l1 <= delta + _CLIMB_L1_GUARD:
-            s_new = cur_s[side] + ((f(a_new) - f(a)) + (f(b_new) - f(b)))
+            s_new = cur_s[side] + (
+                (generator(a_new, params) - generator(a, params))
+                + (generator(b_new, params) - generator(b, params))
+            )
             r = abs(s_new - cur_s[1 - side]) / smax
             if r > cur_ratio:
                 target[i], target[j] = a_new, b_new

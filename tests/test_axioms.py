@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -214,8 +215,72 @@ class TestPowerSubadditivity:
         with pytest.raises(DomainError):
             check_power_subadditivity(1.0, 1.0, 1.0)
 
+# (axiom, samples_checked, worst_violation.hex(), threshold) per suite row and
+# a sha256 of the witnesses of the three aggregated rows (expansibility,
+# entropy concavity, lambda inequality), recorded from the per-check loops
+# that reduced each aggregate with a strict ">" (first maximum wins)
+SUITE_GOLDEN = [
+    ((2, 0.25, 0.0, 100, 0), [
+        ("nonnegativity", 100, "-0x1.215b9342e4fd4p-3", 1e-15),
+        ("maximality", 100, "-0x1.210a5a0578000p-16", 1e-09),
+        ("expansibility", 64, "0x0.0p+0", 0.0),
+        ("generator_concavity", 199, "-0x1.2cb71f00e3e00p+0", 1e-06),
+        ("entropy_concavity", 500, "-0x1.427e7fa288000p-16", 1e-10),
+        ("lambda_inequality", 100, "0x0.0p+0", 1e-12),
+        ("power_subadditivity", 8379, "0x0.0p+0", 1e-12),
+    ], "579330f41ea0220f4fb9077fa73d750d796b5fb9ade93a46cc8ba2d5cc4ad193"),
+    ((5, 0.5, 1.0, 300, 3), [
+        ("nonnegativity", 300, "-0x1.b1eaf8fe5aca6p-3", 1e-15),
+        ("maximality", 300, "-0x1.51fe4f1d42400p-8", 1e-09),
+        ("expansibility", 64, "0x0.0p+0", 0.0),
+        ("generator_concavity", 199, "-0x1.805375aa80f8fp-1", 1e-06),
+        ("entropy_concavity", 1280, "-0x1.0ec1fc49b7800p-11", 1e-10),
+        ("lambda_inequality", 300, "-0x1.77d5e828fa50ap-2", 1e-12),
+        ("power_subadditivity", 8379, "0x0.0p+0", 1e-12),
+    ], "99dbab7be87b55e22402b3a3724aa1518a61f7e8cfc2f1663f6c9d281eb15fd8"),
+    ((6, 1.0, 2.0, 2000, 11), [
+        ("nonnegativity", 2000, "-0x1.d23ca754bc9f8p-2", 1e-15),
+        ("maximality", 2000, "-0x1.73cc8638e1700p-7", 1e-09),
+        ("expansibility", 64, "0x0.0p+0", 0.0),
+        ("generator_concavity", 199, "-0x1.014953a548983p+0", 1e-06),
+        ("entropy_concavity", 1280, "-0x1.5c5c9b4410b00p-8", 1e-10),
+        ("lambda_inequality", 512, "0x1.0000000000000p-51", 1e-12),
+        ("power_subadditivity", 8379, "0x0.0p+0", 1e-12),
+    ], "4168b6ea7995dab215ab52987456ec6602cb2ac5a1bc44a6cbf6075b27444311"),
+]
+
 
 class TestSuite:
+    @pytest.mark.parametrize("case,rows,digest", SUITE_GOLDEN)
+    def test_golden_rows(self, case, rows, digest):
+        n, sigma, lam, samples, seed = case
+        params = EntropyParams(sigma, lam)
+        reps = run_axiom_suite(n, params, samples=samples, seed=seed)
+        got = [
+            (r.axiom.value, r.samples_checked, r.worst_violation.hex(), r.threshold)
+            for r in reps
+        ]
+        assert got == rows
+        exp, cc, li = reps[2], reps[4], reps[5]
+        h = hashlib.sha256()
+        for w in exp.witness["p"], cc.witness["p"], cc.witness["q"], li.witness["p"]:
+            h.update(w.weights.astype("<f8").tobytes())
+        h.update(cc.witness["t"].hex().encode())
+        assert h.hexdigest() == digest
+        # each aggregated row replays exactly through its single check
+        replays = [
+            check_expansibility(exp.witness["p"], params),
+            check_entropy_concavity(
+                cc.witness["p"], cc.witness["q"], cc.witness["t"], params
+            ),
+            check_lambda_inequality(
+                li.witness["p"], li.witness["sigma"], li.witness["lam"]
+            ),
+        ]
+        assert [r.worst_violation for r in replays] == [
+            r.worst_violation for r in (exp, cc, li)
+        ]
+
     def test_runs_all_axioms_in_order(self):
         reps = run_axiom_suite(4, EntropyParams(0.5, 1.0), samples=500, seed=0)
         assert [r.axiom for r in reps] == list(Axiom)

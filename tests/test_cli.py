@@ -30,6 +30,10 @@ class TestEntropyCommand:
         assert run(["entropy", "--sigma", "0.5"]) == 2
         capsys.readouterr()
 
+    def test_weight_above_one_exits_2(self, capsys):
+        assert run(["entropy", "--sigma", "0.5", "--dist", "1.0000000000001,0"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestCheckAxiomsCommand:
     def test_csv_shape_and_exit(self, tmp_path):
@@ -58,9 +62,10 @@ class TestCheckAxiomsCommand:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-
-    def test_zero_samples_exits_2(self, capsys):
-        assert run(["check-axioms", "--sigma", "0.5", "--n", "3", "--samples", "0"]) == 2
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_exits_2(self, capsys, samples):
+        argv = ["check-axioms", "--sigma", "0.5", "--n", "3", "--samples", samples]
+        assert run(argv) == 2
         assert capsys.readouterr().out == ""
 
     def test_empty_n_exits_2(self, capsys):
@@ -141,9 +146,10 @@ class TestSearchCommand:
         )
         capsys.readouterr()
 
-
-    def test_zero_samples_exits_2(self, capsys):
-        argv = ["search", "--sigma", "1", "--delta", "0.1", "--n", "3", "--samples", "0"]
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_exits_2(self, capsys, samples):
+        argv = ["search", "--sigma", "1", "--delta", "0.1", "--n", "3"]
+        argv += ["--samples", samples]
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
 
@@ -167,8 +173,9 @@ class TestVerifyFracCommand:
         assert run(["verify-frac", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_zero_tol_exits_2(self, capsys):
-        assert run(["verify-frac", "--tol", "0"]) == 2
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_zero_or_nan_tol_exits_2(self, capsys, tol):
+        assert run(["verify-frac", "--tol", tol]) == 2
         assert capsys.readouterr().out == ""
 
     def test_negative_tol_exits_2(self, capsys):

@@ -100,6 +100,11 @@ class TestMakeDist:
         with pytest.raises(DomainError):
             make_dist([float("nan"), 1.0])
 
+    def test_weight_above_one_rejected(self):
+        # the sum is within SUM_TOL, but -ln w < 0 would make S NaN
+        with pytest.raises(DomainError):
+            make_dist([np.nextafter(1, 2), 0, 0])
+
 
 class TestEntropyParams:
     @pytest.mark.parametrize("sigma", [0.0, -0.5, 1.0 + 1e-9, float("nan")])
