@@ -60,7 +60,7 @@ def _num_list(cast):
 
     def parse(text: str) -> list:
         try:
-            items = [cast(part) for part in text.split(",") if part != ""]
+            items = [cast(part) for part in map(str.strip, text.split(",")) if part]
         except ValueError as exc:
             msg = f"bad {cast.__name__} list {text!r}"
             raise argparse.ArgumentTypeError(msg) from exc
@@ -71,28 +71,18 @@ def _num_list(cast):
     return parse
 
 
-def _positive(cast):
-    """argparse type: one `cast` value > 0; NaN is rejected too."""
+def _greater_than(cast, bound):
+    """argparse type: one `cast` value > bound; NaN is rejected too."""
 
     def parse(text: str):
         value = cast(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not value > bound:
+            raise argparse.ArgumentTypeError(f"must be > {bound}, got {text!r}")
         return value
 
     # argparse names the type in its "invalid <type> value" message
     parse.__name__ = cast.__name__
     return parse
-
-
-def _family_list(text: str) -> list[str]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part not in ("A", "B"):
-            raise argparse.ArgumentTypeError(f"unknown family {part!r} (use A, B)")
-        out.append(part)
-    return out
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -128,14 +118,16 @@ def _parser() -> argparse.ArgumentParser:
     p_ax.add_argument(
         "--n", type=_num_list(int), default=[5], help="comma list of sizes"
     )
-    p_ax.add_argument("--samples", type=_positive(int), default=10_000)
-    p_ax.add_argument("--seed", type=int, default=0)
+    p_ax.add_argument("--samples", type=_greater_than(int, 0), default=10_000)
+    p_ax.add_argument("--seed", type=_greater_than(int, -1), default=0)
     p_ax.add_argument("--out", default=None, help="CSV path (default stdout)")
 
     p_sw = sub.add_parser("sweep", help="stability ratios over an n-grid (CSV)")
     p_sw.set_defaults(func=_cmd_sweep)
     add_params(p_sw)
-    p_sw.add_argument("--family", type=_family_list, required=True, help="A, B, or A,B")
+    p_sw.add_argument(
+        "--family", type=_num_list(Family), required=True, help="A, B, or A,B"
+    )
     p_sw.add_argument("--delta", type=float, required=True, help="L1 budget")
     p_sw.add_argument("--n", type=_num_list(int), required=True, help="ascending sizes")
     p_sw.add_argument(
@@ -154,9 +146,9 @@ def _parser() -> argparse.ArgumentParser:
     p_se.add_argument("--delta", type=float, required=True)
     p_se.add_argument("--n", type=_num_list(int), required=True, help="one size")
     p_se.add_argument(
-        "--samples", type=_positive(int), default=10_000, help="hill-climb steps"
+        "--samples", type=_greater_than(int, 0), default=10_000, help="hill-climb steps"
     )
-    p_se.add_argument("--seed", type=int, default=0)
+    p_se.add_argument("--seed", type=_greater_than(int, -1), default=0)
     p_se.add_argument("--out", default=None)
 
     p_vf = sub.add_parser(
@@ -165,7 +157,7 @@ def _parser() -> argparse.ArgumentParser:
     p_vf.set_defaults(func=_cmd_verify_frac)
     p_vf.add_argument(
         "--tol",
-        type=_positive(float),
+        type=_greater_than(float, 0),
         default=1e-6,
         help="relative tolerance (default 1e-6)",
     )
@@ -227,11 +219,7 @@ def _record_row(rec) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     records = sweep(
-        [Family(f) for f in args.family],
-        args.n,
-        args.delta,
-        _params(args),
-        control_q=args.control_q,
+        args.family, args.n, args.delta, _params(args), control_q=args.control_q
     )
     _emit([_SWEEP_HEADER] + [_record_row(r) for r in records], args.out)
     return 0

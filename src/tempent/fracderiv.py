@@ -163,14 +163,14 @@ def laplace_singular_quad(c: float, sigma: float, tol: float = 1e-10) -> QuadRes
     return QuadResult(value=val, err_estimate=err, evaluations=int(neval))
 
 
-def tempered_integral(params: FracParams, tol: float = 1e-10) -> QuadResult:
+def tempered_integral(params: FracParams) -> QuadResult:
     """I(t) = Integral_{-inf}^t (t-s)**(-sigma) exp(lam*s) exp(-s ln p) ds.
 
     Computed as exp(t*c) times the Laplace integral with c = lam - ln p.
     """
     c = params.lam - math.log(params.p)
     factor = math.exp(params.t * c)
-    base = laplace_singular_quad(c, params.sigma, tol=tol)
+    base = laplace_singular_quad(c, params.sigma)
     return QuadResult(
         value=factor * base.value,
         err_estimate=factor * base.err_estimate,
@@ -181,7 +181,6 @@ def tempered_integral(params: FracParams, tol: float = 1e-10) -> QuadResult:
 def tempered_derivative_numeric(
     params: FracParams,
     h: float | None = None,
-    quad_tol: float = 1e-10,
     richardson: bool = True,
 ) -> float:
     """D u(t) by central differencing of the quadrature route.
@@ -200,7 +199,7 @@ def tempered_derivative_numeric(
 
     def ival(t: float) -> float:
         shifted = FracParams(sigma=params.sigma, lam=params.lam, p=params.p, t=t)
-        return tempered_integral(shifted, tol=quad_tol).value
+        return tempered_integral(shifted).value
 
     def central(step: float) -> float:
         return (ival(params.t + step) - ival(params.t - step)) / (2.0 * step)

@@ -114,30 +114,42 @@ class StabilityRecord:
     ratio: float
 
 
+# each structured family's smallest n
+_FAMILY_MIN_N = {Family.CERTAINTY_A: 2, Family.UNIFORM_B: 3}
+
+
+def _family_weights(family: Family, n: int, delta: float):
+    """Families A and B as ((head, tail), (head', tail')): w[0] plus n-1 tails."""
+    min_n = _FAMILY_MIN_N.get(family)
+    if min_n is None:
+        raise DomainError(f"no aggregated form for family {family!r}")
+    if n < min_n:
+        raise DomainError(f"family {family.value} needs n >= {min_n}, got {n}")
+    if family is Family.CERTAINTY_A:
+        return (1.0, 0.0), (1.0 - delta / 2.0, delta / (2.0 * (n - 1)))
+    return (0.0, 1.0 / (n - 1)), (delta / 2.0, (1.0 - delta / 2.0) / (n - 1))
+
+
+def _family_pair(family: Family, n: int, delta: float) -> PerturbPair:
+    """The explicit pair of a structured family, certified by PerturbPair."""
+    if not (0.0 < delta <= 1.0):
+        raise DomainError(f"family {family.value} needs delta in (0, 1], got {delta!r}")
+    sides = []
+    for head, tail in _family_weights(family, n, delta):
+        w = np.full(n, tail)
+        w[0] = head
+        sides.append(make_dist(w))
+    return PerturbPair(*sides, delta, family)
+
+
 def family_a_pair(n: int, delta: float) -> PerturbPair:
     """Perturbed certainty: all mass on one outcome vs. a delta/2 leak."""
-    if n < 2:
-        raise DomainError(f"family A needs n >= 2, got {n}")
-    if not (0.0 < delta <= 1.0):
-        raise DomainError(f"family A needs delta in (0, 1], got {delta!r}")
-    w = np.zeros(n)
-    w[0] = 1.0
-    wp = np.full(n, delta / (2.0 * (n - 1)))
-    wp[0] = 1.0 - delta / 2.0
-    return PerturbPair(make_dist(w), make_dist(wp), delta, Family.CERTAINTY_A)
+    return _family_pair(Family.CERTAINTY_A, n, delta)
 
 
 def family_b_pair(n: int, delta: float) -> PerturbPair:
     """Uniform with a hole vs. the hole partly filled from the tail."""
-    if n < 3:
-        raise DomainError(f"family B needs n >= 3, got {n}")
-    if not (0.0 < delta <= 1.0):
-        raise DomainError(f"family B needs delta in (0, 1], got {delta!r}")
-    w = np.full(n, 1.0 / (n - 1))
-    w[0] = 0.0
-    wp = np.full(n, (1.0 - delta / 2.0) / (n - 1))
-    wp[0] = delta / 2.0
-    return PerturbPair(make_dist(w), make_dist(wp), delta, Family.UNIFORM_B)
+    return _family_pair(Family.UNIFORM_B, n, delta)
 
 
 def _record(
@@ -176,13 +188,23 @@ def stability_ratio(pair: PerturbPair, params: EntropyParams) -> StabilityRecord
     )
 
 
+def _check_renyi_order(q: float) -> None:
+    if not (q > 0.0) or q == 1.0 or not math.isfinite(q):
+        raise DomainError(f"Renyi order must be finite, positive and != 1, got {q!r}")
+
+
+def _renyi(power_sum: float, q: float) -> float:
+    """ln(power_sum) / (1 - q); the + 0.0 turns a -0.0 into +0.0."""
+    if not power_sum > 0.0:
+        raise DomainError(f"Renyi power sum of order {q!r} underflows to {power_sum!r}")
+    return math.log(power_sum) / (1.0 - q) + 0.0
+
+
 def renyi_entropy(p: ProbDist, q: float) -> float:
     """Renyi entropy ln(sum_i p_i**q) / (1 - q), q > 0, q != 1; zeros skipped."""
-    if not (q > 0.0) or q == 1.0 or not math.isfinite(q):
-        raise DomainError(f"Renyi order q must be positive and != 1, got {q!r}")
+    _check_renyi_order(q)
     w = p.weights
-    w = w[w > 0.0]
-    return float(np.log(np.sum(w**q)) / (1.0 - q))
+    return _renyi(float(np.sum(w[w > 0.0] ** q)), q)
 
 
 def _family_entropies(
@@ -194,43 +216,18 @@ def _family_entropies(
     the sum collapses to head_term + (n-1) * tail_term: O(1) in n.
     delta = 0 is allowed here and gives S(p') identical to S(p).
     """
-    if family is Family.CERTAINTY_A:
-        if n < 2:
-            raise DomainError(f"family A needs n >= 2, got {n}")
-        s_p = generator(1.0, params) + (n - 1) * generator(0.0, params)
-        s_pp = generator(1.0 - delta / 2.0, params) + (n - 1) * generator(
-            delta / (2.0 * (n - 1)), params
-        )
-        return s_p, s_pp
-    if family is Family.UNIFORM_B:
-        if n < 3:
-            raise DomainError(f"family B needs n >= 3, got {n}")
-        s_p = generator(0.0, params) + (n - 1) * generator(1.0 / (n - 1), params)
-        s_pp = generator(delta / 2.0, params) + (n - 1) * generator(
-            (1.0 - delta / 2.0) / (n - 1), params
-        )
-        return s_p, s_pp
-    raise DomainError(f"no aggregated form for family {family!r}")
+    return tuple(
+        generator(head, params) + (n - 1) * generator(tail, params)
+        for head, tail in _family_weights(family, n, delta)
+    )
 
 
 def _family_renyi(family: Family, n: int, delta: float, q: float) -> tuple[float, float]:
     """(R(p), R(p')) for a structured family, aggregated the same way."""
-    one_minus_q = 1.0 - q
-    if family is Family.CERTAINTY_A:
-        r_p = 0.0
-        head = (1.0 - delta / 2.0) ** q
-        tail_w = delta / (2.0 * (n - 1))
-        tail = (n - 1) * tail_w**q if tail_w > 0.0 else 0.0
-        r_pp = math.log(head + tail) / one_minus_q
-        return r_p, r_pp
-    if family is Family.UNIFORM_B:
-        r_p = math.log((n - 1) * (1.0 / (n - 1)) ** q) / one_minus_q
-        head_w = delta / 2.0
-        head = head_w**q if head_w > 0.0 else 0.0
-        tail = (n - 1) * ((1.0 - delta / 2.0) / (n - 1)) ** q
-        r_pp = math.log(head + tail) / one_minus_q
-        return r_p, r_pp
-    raise DomainError(f"no aggregated form for family {family!r}")
+    return tuple(
+        _renyi(head**q + (n - 1) * tail**q, q)
+        for head, tail in _family_weights(family, n, delta)
+    )
 
 
 def sweep(
@@ -251,9 +248,7 @@ def sweep(
     Rows are ordered by (family label, n).  Everything is evaluated
     through the aggregated O(1) path, so n up to 1e8 is fine.
     """
-    fams = []
-    for f in families:
-        fams.append(f if isinstance(f, Family) else Family(str(f)))
+    fams = [Family(f) for f in families]
     if not fams:
         raise DomainError("need at least one family")
     ns = [int(n) for n in n_grid]
@@ -263,8 +258,8 @@ def sweep(
         raise DomainError(f"n_grid must be strictly ascending, got {ns}")
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
-    if control_q is not None and (not (control_q > 0.0) or control_q == 1.0):
-        raise DomainError(f"control q must be positive and != 1, got {control_q!r}")
+    if control_q is not None:
+        _check_renyi_order(control_q)
 
     records = []
     for fam in fams:
@@ -321,11 +316,10 @@ def random_pair_search(
     # candidate starts: structured families plus a random interior pair
     starts: list[tuple[np.ndarray, np.ndarray]] = []
     if delta > 0.0:
-        pa = family_a_pair(n, delta)
-        starts.append((pa.p.weights.copy(), pa.p_prime.weights.copy()))
-        if n >= 3:
-            pb = family_b_pair(n, delta)
-            starts.append((pb.p.weights.copy(), pb.p_prime.weights.copy()))
+        for fam, min_n in _FAMILY_MIN_N.items():
+            if n >= min_n:
+                pair = _family_pair(fam, n, delta)
+                starts.append((pair.p.weights.copy(), pair.p_prime.weights.copy()))
     base = rng.standard_exponential(n)
     base /= base.sum()
     starts.append((base.copy(), base.copy()))

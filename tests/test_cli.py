@@ -72,6 +72,11 @@ class TestCheckAxiomsCommand:
         assert run(["check-axioms", "--sigma", "0.5", "--n", ","]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_negative_seed_exits_2(self, capsys):
+        argv = ["check-axioms", "--sigma", "0.5", "--n", "3", "--samples", "10"]
+        assert run(argv + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestSweepCommand:
     def test_rows_and_header(self, capsys):
@@ -118,6 +123,34 @@ class TestSweepCommand:
         assert run(["sweep", "--family", "Q", "--sigma", "0.5", "--delta", "1e-3", "--n", "10"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("family", ["RandomSearch", ","])
+    def test_no_structured_family_exits_2(self, capsys, family):
+        argv = ["sweep", "--family", family, "--sigma", "0.5", "--delta", "0.1"]
+        assert run(argv + ["--n", "10"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_family_list_tolerates_spaces_and_trailing_comma(self, capsys):
+        argv = ["sweep", "--sigma", "0.5", "--delta", "0.1", "--n", "10", "--family"]
+        assert run(argv + ["A,B"]) == 0
+        want = capsys.readouterr().out
+        assert run(argv + [" A, B,"]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("q", ["inf", "nan", "1", "0", "60"])
+    def test_bad_or_underflowing_renyi_order_exits_2(self, capsys, q):
+        argv = ["sweep", "--family", "B", "--sigma", "0.5", "--delta", "0.1"]
+        assert run(argv + ["--n", "1000000", "--control-renyi", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_renyi_rows_have_no_negative_zero(self, capsys):
+        argv = ["sweep", "--family", "A", "--sigma", "0.5", "--delta", "0"]
+        assert run(argv + ["--n", "10", "--control-renyi", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[2] == "A_renyi,10,0,0.5,0,0,0,0"
+        assert all(cell != "-0" for row in rows for cell in row.split(","))
+
     def test_descending_grid_exits_2(self, capsys):
         assert (
             run(["sweep", "--family", "A", "--sigma", "0.5", "--delta", "1e-3", "--n", "100,10"])
@@ -150,6 +183,11 @@ class TestSearchCommand:
     def test_nonpositive_samples_exits_2(self, capsys, samples):
         argv = ["search", "--sigma", "1", "--delta", "0.1", "--n", "3"]
         argv += ["--samples", samples]
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_seed_exits_2(self, capsys):
+        argv = ["search", "--sigma", "1", "--delta", "0.1", "--n", "3", "--seed", "-1"]
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
 

@@ -165,6 +165,28 @@ class TestRenyi:
             renyi_entropy(p, 0.0)
         with pytest.raises(DomainError):
             renyi_entropy(p, -0.5)
+        with pytest.raises(DomainError):
+            renyi_entropy(p, math.inf)
+
+    def test_underflowing_power_sum_raises(self):
+        # sum_i p_i**60 underflows to 0 on the family-B vector at n = 1e6
+        with pytest.raises(DomainError):
+            renyi_entropy(family_b_pair(10**6, 0.1).p, 60.0)
+        with pytest.raises(DomainError):
+            sweep(["B"], [10**6], 0.1, EntropyParams(0.5), control_q=60.0)
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_sweep_rejects_nonfinite_order(self, q):
+        with pytest.raises(DomainError):
+            sweep(["A"], [10], 0.1, EntropyParams(0.5), control_q=q)
+
+    def test_no_negative_zero(self):
+        # ln(1) / (1 - q) is -0.0 for q > 1
+        assert math.copysign(1.0, renyi_entropy(make_dist([1.0, 0.0]), 2.0)) == 1.0
+        rows = sweep(["A"], [10], 0.0, EntropyParams(0.5), control_q=2.0)
+        assert all(
+            math.copysign(1.0, x) == 1.0 for r in rows for x in (r.s_p, r.s_p_prime)
+        )
 
 
 class TestAggregatedPath:
@@ -245,6 +267,44 @@ class TestSweep:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             sweep(["C"], [100], 1e-3, EntropyParams(0.5))
+
+    def test_random_search_has_no_aggregated_form(self):
+        with pytest.raises(DomainError):
+            sweep([Family.RANDOM_SEARCH], [100], 1e-3, EntropyParams(0.5))
+
+
+# sha256 over the float.hex of every field of every sweep record on a
+# (sigma, lam) x delta x q x n grid, and over the family_a_pair /
+# family_b_pair weight vectors at a few (n, delta); recorded before the
+# families were folded into one head/tail table
+SWEEP_GOLDEN = "8e217c71a4270af989f1f740d97d2f567043c711de7ff96ca5dbf4f12eaa3e43"
+PAIRS_GOLDEN = "48506152f1401c4f754625e93703bfd8d0bd2b34342351b0882dc8bc7a60ae3b"
+
+
+class TestFamilyGolden:
+    def test_sweep_records(self):
+        h = hashlib.sha256()
+        for sigma, lam in ((0.5, 0.0), (0.25, 2.0), (1.0, 0.0), (0.75, 0.5)):
+            for delta in (1e-3, 0.1, 1.0):
+                for q in (None, 0.5, 2.0):
+                    rows = sweep(
+                        ["A", "B"], [3, 10, 1000, 10**6, 10**8], delta,
+                        EntropyParams(sigma, lam), control_q=q,
+                    )
+                    for r in rows:
+                        floats = (r.delta, r.sigma, r.lam, r.s_p, r.s_p_prime, r.ratio)
+                        fields = [r.family, str(r.n)] + [float(x).hex() for x in floats]
+                        h.update((",".join(fields) + "\n").encode())
+        assert h.hexdigest() == SWEEP_GOLDEN
+
+    def test_pair_weights(self):
+        h = hashlib.sha256()
+        for ctor in (family_a_pair, family_b_pair):
+            for n, delta in ((3, 0.2), (10, 1e-3), (7, 0.37), (1000, 1.0)):
+                pair = ctor(n, delta)
+                h.update(pair.p.weights.astype("<f8").tobytes())
+                h.update(pair.p_prime.weights.astype("<f8").tobytes())
+        assert h.hexdigest() == PAIRS_GOLDEN
 
 
 # float.hex of (s_p, s_p_prime, ratio) and a sha256 of both weight vectors,
