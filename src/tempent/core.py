@@ -92,6 +92,29 @@ class EntropyParams:
             raise DomainError(f"lam must be finite and >= 0, got {self.lam!r}")
 
 
+def _check_rows(w: np.ndarray) -> None:
+    """ProbDist's weight checks, applied to each row along the last axis.
+
+    w is a float array whose last axis is nonempty.  Raises DomainError
+    (non-finite entry or an entry above 1), NegativeWeight, or SumNotOne
+    for the first offending entry or row, in that order of checks.
+    """
+    if not np.isfinite(w).all():
+        raise DomainError("weights must be finite")
+    if (w < 0.0).any():
+        bad = float(w[w < 0.0][0])
+        raise NegativeWeight(f"negative weight {bad!r}")
+    # the sum check alone admits 1 + 1 ulp, where -ln w < 0 and S is NaN
+    if w.max() > 1.0:
+        bad = float(w[w > 1.0][0])
+        raise DomainError(f"weight {bad!r} exceeds 1")
+    total = w.sum(axis=-1)
+    off = abs(total - 1.0) > SUM_TOL
+    if off.any():
+        bad = float(np.atleast_1d(total)[np.atleast_1d(off)][0])
+        raise SumNotOne(f"weights sum to {bad!r}, not 1 within {SUM_TOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class ProbDist:
     """A validated probability distribution over finitely many outcomes.
@@ -108,18 +131,7 @@ class ProbDist:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise TooFewOutcomes("need a 1-d array with at least one outcome")
-        if not np.all(np.isfinite(w)):
-            raise DomainError("weights must be finite")
-        if np.any(w < 0.0):
-            bad = float(w[w < 0.0][0])
-            raise NegativeWeight(f"negative weight {bad!r}")
-        # the sum check alone admits 1 + 1 ulp, where -ln w < 0 and S is NaN
-        if w.max() > 1.0:
-            bad = float(w[w > 1.0][0])
-            raise DomainError(f"weight {bad!r} exceeds 1")
-        total = float(w.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise SumNotOne(f"weights sum to {total!r}, not 1 within {SUM_TOL}")
+        _check_rows(w)
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)

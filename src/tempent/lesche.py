@@ -239,8 +239,9 @@ def sweep(
 ) -> list[StabilityRecord]:
     """Stability ratios over a grid of n for each structured family.
 
-    families : iterable of Family or of their string values ("A", "B")
-    n_grid   : nonempty, strictly ascending integers (family B needs n >= 3)
+    families : iterable of distinct Family or of their string values ("A", "B")
+    n_grid   : nonempty, strictly ascending integers (family B needs n >= 3);
+               a fractional entry raises rather than being truncated
     delta    : L1 budget in [0, 1]; delta = 0 gives all-zero ratios
     control_q: if given, appends Renyi negative-control rows per family,
                labelled "<family>_renyi", normalized by ln n
@@ -251,7 +252,12 @@ def sweep(
     fams = [Family(f) for f in families]
     if not fams:
         raise DomainError("need at least one family")
-    ns = [int(n) for n in n_grid]
+    if len(set(fams)) != len(fams):
+        raise DomainError(f"repeated family in {[f.value for f in fams]}")
+    grid = list(n_grid)
+    if not all(float(n).is_integer() for n in grid):
+        raise DomainError(f"n_grid must hold integers, got {grid}")
+    ns = [int(n) for n in grid]
     if not ns:
         raise DomainError("n_grid must be nonempty")
     if any(b <= a for a, b in zip(ns, ns[1:])):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 
@@ -16,6 +17,7 @@ from tempent import (
     run_axiom_suite,
     sample_simplex,
 )
+import tempent.axioms as axioms
 from tempent.axioms import (
     check_entropy_concavity,
     check_expansibility,
@@ -247,6 +249,16 @@ SUITE_GOLDEN = [
         ("lambda_inequality", 512, "0x1.0000000000000p-51", 1e-12),
         ("power_subadditivity", 8379, "0x0.0p+0", 1e-12),
     ], "4168b6ea7995dab215ab52987456ec6602cb2ac5a1bc44a6cbf6075b27444311"),
+    # n above numpy's 128-element pairwise-summation block
+    ((200, 0.75, 0.5, 1000, 7), [
+        ("nonnegativity", 1000, "-0x1.6e112548f726ap+1", 1e-15),
+        ("maximality", 1000, "-0x1.42dc320c37e70p-3", 1e-09),
+        ("expansibility", 64, "0x0.0p+0", 0.0),
+        ("generator_concavity", 199, "-0x1.54e34da1e8d28p+0", 1e-06),
+        ("entropy_concavity", 1280, "-0x1.d17cc14d96980p-6", 1e-10),
+        ("lambda_inequality", 512, "-0x1.5e92b8b225e58p-2", 1e-12),
+        ("power_subadditivity", 8379, "0x0.0p+0", 1e-12),
+    ], "9c76379000381bcf561db7a42c4046326f368d25ca1df34c9d2efa6c671134e6"),
 ]
 
 
@@ -280,6 +292,60 @@ class TestSuite:
         assert [r.worst_violation for r in replays] == [
             r.worst_violation for r in (exp, cc, li)
         ]
+
+    @pytest.mark.parametrize(
+        "n,params,seed",
+        [(3, EntropyParams(0.25, 0.0), 1), (7, EntropyParams(0.5, 1.0), 2),
+         (130, EntropyParams(0.9, 3.0), 3)],
+    )
+    def test_batched_rows_equal_the_scalar_loop(self, n, params, seed):
+        # reference: every pair and draw through its single check, first
+        # maximum kept, in the suite's pair-major, t-minor order
+        def loop_worst(reports):
+            worst = max(reports, key=lambda r: r.worst_violation)
+            return worst, len(reports)
+
+        ps = sample_simplex(n, 256, seed + 3)
+        qs = sample_simplex(n, 256, seed + 4)
+        cc = loop_worst([
+            check_entropy_concavity(p, q, t, params)
+            for p, q in zip(ps, qs)
+            for t in (0.1, 0.25, 0.5, 0.75, 0.9)
+        ])
+        li = loop_worst([
+            check_lambda_inequality(p, params.sigma, params.lam)
+            for p in sample_simplex(n, 512, seed + 5)
+        ])
+        reps = run_axiom_suite(n, params, samples=1000, seed=seed)
+        for got, (want, count) in zip((reps[4], reps[5]), (cc, li)):
+            assert got.samples_checked == count
+            assert got.worst_violation.hex() == want.worst_violation.hex()
+            for key, value in want.witness.items():
+                if hasattr(value, "weights"):
+                    assert np.array_equal(got.witness[key].weights, value.weights)
+                else:
+                    assert got.witness[key] == value
+
+    def test_scalar_calls_do_not_grow_with_samples(self, monkeypatch):
+        # pairwise checks are scored in batch; only each witness goes
+        # through the scalar entropy / make_dist path
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("entropy", "make_dist"):
+            monkeypatch.setattr(axioms, name, counted(name, getattr(axioms, name)))
+        seen = []
+        for samples in (300, 10_000):
+            counts.clear()
+            run_axiom_suite(5, EntropyParams(0.5, 1.0), samples=samples, seed=0)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1] == {"entropy": 135, "make_dist": 134}
 
     def test_runs_all_axioms_in_order(self):
         reps = run_axiom_suite(4, EntropyParams(0.5, 1.0), samples=500, seed=0)

@@ -158,6 +158,18 @@ class TestSweepCommand:
         )
         capsys.readouterr()
 
+    def test_repeated_family_exits_2(self, capsys):
+        argv = ["sweep", "--family", "A,A", "--sigma", "0.5", "--delta", "0.1"]
+        assert run(argv + ["--n", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeated family" in captured.err
+
+    def test_fractional_n_exits_2(self, capsys):
+        argv = ["sweep", "--family", "A", "--sigma", "0.5", "--delta", "0.1"]
+        assert run(argv + ["--n", "10.7"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestSearchCommand:
     def test_row_and_determinism(self, tmp_path):

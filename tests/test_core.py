@@ -20,6 +20,7 @@ from tempent import (
     shannon_entropy,
     ubriaco_entropy,
 )
+import tempent.core as core
 
 # frozen reference values, mpmath at 50 significant digits
 GEN_HALF = 0.41627730557884888           # f(0.5), sigma=0.5, lam=0
@@ -104,6 +105,33 @@ class TestMakeDist:
         # the sum is within SUM_TOL, but -ln w < 0 would make S NaN
         with pytest.raises(DomainError):
             make_dist([np.nextafter(1, 2), 0, 0])
+
+
+class TestCheckRows:
+    """core._check_rows: ProbDist's checks along the last axis of a matrix."""
+
+    @pytest.mark.parametrize(
+        "row,exc",
+        [
+            ([0.6, 0.5, -0.1], NegativeWeight),
+            ([0.6, 0.6, 0.0], SumNotOne),
+            ([float("nan"), 0.5, 0.5], DomainError),
+            ([np.nextafter(1, 2), 0.0, 0.0], DomainError),
+        ],
+    )
+    def test_one_bad_row(self, row, exc):
+        w = np.full((4, 3), 1.0 / 3.0)
+        w[2] = row
+        with pytest.raises(exc) as got:
+            core._check_rows(w)
+        # the same class and message make_dist gives for that row alone
+        with pytest.raises(exc) as want:
+            make_dist(row)
+        assert str(got.value) == str(want.value)
+
+    def test_valid_rows_pass(self):
+        core._check_rows(np.full((4, 3), 1.0 / 3.0))
+        core._check_rows(np.array([0.5, 0.5 + 4e-13]))
 
 
 class TestEntropyParams:

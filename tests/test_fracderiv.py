@@ -14,6 +14,7 @@ from tempent import (
     tempered_derivative_numeric,
     tempered_integral,
 )
+import tempent.fracderiv as fracderiv
 
 # frozen reference values, mpmath at 50 significant digits
 GAMMA_HALF = 1.7724538509055160      # Gamma(1/2) = sqrt(pi)
@@ -181,3 +182,34 @@ class TestDerivativeClosure:
         fp = FracParams(sigma=0.5, lam=1.0, p=0.5, t=-1.0)
         with pytest.raises(DomainError):
             tempered_derivative_numeric(fp, h=0.0)
+        with pytest.raises(DomainError):
+            tempered_derivative_numeric(fp, h=math.inf)
+
+    @pytest.mark.parametrize("richardson", [True, False])
+    def test_one_quadrature_per_derivative(self, monkeypatch, richardson):
+        # I(t) = exp(t*c) * Q: the Laplace integral Q does not depend on t
+        calls = []
+        quad = fracderiv.laplace_singular_quad
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(fracderiv, "laplace_singular_quad", counting)
+        fp = FracParams(sigma=0.3, lam=0.5, p=0.2, t=-1.0)
+        tempered_derivative_numeric(fp, richardson=richardson)
+        assert len(calls) == 1
+
+    def test_matches_tempered_integral_differences(self):
+        # the reused Q gives bit for bit the values tempered_integral gives
+        fp = FracParams(sigma=0.3, lam=0.5, p=0.2, t=-1.0)
+        h = 1e-5
+
+        def ival(t):
+            return tempered_integral(
+                FracParams(sigma=fp.sigma, lam=fp.lam, p=fp.p, t=t)
+            ).value
+
+        d = (ival(fp.t + h) - ival(fp.t - h)) / (2.0 * h)
+        prefactor = math.exp(-fp.lam * fp.t) / gamma_fn(1.0 - fp.sigma)
+        assert tempered_derivative_numeric(fp, h=h, richardson=False) == prefactor * d

@@ -260,6 +260,21 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(["A"], [], 1e-3, EntropyParams(0.5))
 
+    def test_fractional_n_rejected(self):
+        for bad in (10.7, math.nan, math.inf):
+            with pytest.raises(DomainError, match="integers"):
+                sweep(["A"], [bad], 0.1, EntropyParams(0.5))
+        # an integral float names the same grid as the int
+        assert sweep(["A"], [1e3], 0.1, EntropyParams(0.5)) == sweep(
+            ["A"], [1000], 0.1, EntropyParams(0.5)
+        )
+
+    def test_repeated_family_rejected(self):
+        with pytest.raises(DomainError, match="repeated family"):
+            sweep(["A", "A"], [10], 0.1, EntropyParams(0.5))
+        with pytest.raises(DomainError, match="repeated family"):
+            sweep(["B", Family.UNIFORM_B], [10], 0.1, EntropyParams(0.5))
+
     def test_family_b_needs_three(self):
         with pytest.raises(DomainError):
             sweep(["B"], [2, 100], 1e-3, EntropyParams(0.5))
