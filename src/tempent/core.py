@@ -16,8 +16,8 @@ Everything is built from the per-outcome generator
 
 which vanishes exactly at x = 0 and x = 1.  The bracket
 (lam + y)**sigma - lam**sigma (y = -ln x >= 0) suffers catastrophic
-cancellation when y << lam, so it is evaluated as
-lam**sigma * expm1(sigma * log1p(y / lam)) on that side of the split.
+cancellation when y << lam, so where y < lam/2, and only there, it is
+evaluated as lam**sigma * expm1(sigma * log1p(y / lam)).
 """
 
 from __future__ import annotations
@@ -150,19 +150,28 @@ def _power_gap(y, sigma: float, lam: float):
     """(lam + y)**sigma - lam**sigma for y >= 0, cancellation-safe.
 
     For lam > 0 and y < lam/2 the direct difference loses most of its
-    significant digits; there the identity
-    lam**sigma * expm1(sigma * log1p(y/lam)) is exact to a few ulp.
-    Accepts scalars or arrays, returns an ndarray (possibly 0-d).
+    significant digits; there, and only there, the identity
+    lam**sigma * expm1(sigma * log1p(y/lam)) is evaluated instead, exact
+    to a few ulp.  Accepts scalars or arrays, returns an ndarray
+    (possibly 0-d) or a numpy scalar.
     """
     y = np.asarray(y, dtype=float)
     if lam == 0.0:
         return y**sigma
-    # both where-branches evaluate; y/lam may overflow harmlessly on the
-    # side that is never selected (y >= lam/2 forces the direct branch)
+    near = y < 0.5 * lam
+    if near.all():
+        return _near_gap(y, sigma, lam)
+    # lam + y may overflow for the huge finite x that g_func accepts
     with np.errstate(over="ignore"):
-        direct = (lam + y) ** sigma - lam**sigma
-        safe = lam**sigma * np.expm1(sigma * np.log1p(y / lam))
-    return np.where(y < 0.5 * lam, safe, direct)
+        gap = (lam + y) ** sigma - lam**sigma
+    if near.any():
+        gap[near] = _near_gap(y[near], sigma, lam)
+    return gap
+
+
+def _near_gap(y, sigma: float, lam: float):
+    """The power gap as lam**sigma * expm1(sigma * log1p(y/lam)), lam > 0."""
+    return lam**sigma * np.expm1(sigma * np.log1p(y / lam))
 
 
 def generator(x: float, params: EntropyParams) -> float:
@@ -198,9 +207,13 @@ def generator_derivative(x: float, params: EntropyParams):
 def entropy(p: ProbDist, params: EntropyParams) -> float:
     """Tempered entropy S(p) = sum_i f(p_i); zero weights are skipped."""
     w = p.weights
-    w = w[w > 0.0]
-    y = -np.log(w)
-    return float(np.sum(w * _power_gap(y, params.sigma, params.lam)))
+    if not w.all():
+        w = w[w > 0.0]
+    y = np.log(w)
+    np.negative(y, out=y)
+    gap = _power_gap(y, params.sigma, params.lam)
+    gap *= w
+    return float(np.sum(gap))
 
 
 def ubriaco_entropy(p: ProbDist, alpha: float) -> float:

@@ -241,7 +241,8 @@ def sweep(
 
     families : iterable of distinct Family or of their string values ("A", "B")
     n_grid   : nonempty, strictly ascending integers (family B needs n >= 3);
-               a fractional entry raises rather than being truncated
+               a fractional entry raises rather than being truncated, and
+               so does an integer beyond the float range
     delta    : L1 budget in [0, 1]; delta = 0 gives all-zero ratios
     control_q: if given, appends Renyi negative-control rows per family,
                labelled "<family>_renyi", normalized by ln n
@@ -255,7 +256,11 @@ def sweep(
     if len(set(fams)) != len(fams):
         raise DomainError(f"repeated family in {[f.value for f in fams]}")
     grid = list(n_grid)
-    if not all(float(n).is_integer() for n in grid):
+    try:
+        integral = all(float(n).is_integer() for n in grid)
+    except OverflowError:
+        raise DomainError("n_grid entries must fit in a float") from None
+    if not integral:
         raise DomainError(f"n_grid must hold integers, got {grid}")
     ns = [int(n) for n in grid]
     if not ns:

@@ -170,6 +170,13 @@ class TestSweepCommand:
         assert run(argv + ["--n", "10.7"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_n_beyond_float_range_exits_2(self, capsys):
+        argv = ["sweep", "--family", "A", "--sigma", "0.5", "--delta", "0.1"]
+        assert run(argv + ["--n", "1" + "0" * 400]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fit in a float" in captured.err
+
 
 class TestSearchCommand:
     def test_row_and_determinism(self, tmp_path):

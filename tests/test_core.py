@@ -333,3 +333,63 @@ class TestGFunc:
     def test_domain(self):
         with pytest.raises(DomainError):
             g_func(-0.5, EntropyParams(0.5))
+
+
+def two_branch_gap(y, sigma, lam):
+    """Reference power gap: both formulas on every element, np.where picks."""
+    y = np.asarray(y, dtype=float)
+    if lam == 0.0:
+        return y**sigma
+    with np.errstate(over="ignore"):
+        direct = (lam + y) ** sigma - lam**sigma
+        safe = lam**sigma * np.expm1(sigma * np.log1p(y / lam))
+    return np.where(y < 0.5 * lam, safe, direct)
+
+
+class TestPowerGap:
+    @pytest.mark.parametrize("lam", [1e-300, 1.0, 100.0, 1e300])
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0])
+    def test_bits_match_two_branch_reference(self, sigma, lam):
+        rng = np.random.default_rng(8)
+        seam = [0.0, 0.5 * lam, np.nextafter(0.5 * lam, 0.0)]
+        near = lam * rng.uniform(0.0, 0.49, 300)
+        far = np.concatenate([lam * rng.uniform(0.5, 3.0, 300), rng.exponential(5.0, 300)])
+        far = far[far >= 0.5 * lam]
+        mixed = rng.permutation(np.concatenate([near, far, seam]))
+        assert (near < 0.5 * lam).all() and far.size and (far >= 0.5 * lam).all()
+        for y in (mixed, near, far, np.empty(0)):
+            got = core._power_gap(y, sigma, lam)
+            want = two_branch_gap(y, sigma, lam)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for v in (*seam, *near[:20], *far[::10]):
+            want = float(two_branch_gap(v, sigma, lam)).hex()
+            assert float(core._power_gap(np.array(v), sigma, lam)).hex() == want
+            assert float(core._power_gap(float(v), sigma, lam)).hex() == want
+
+    @pytest.mark.parametrize("zeros", [0, 37])
+    def test_entropy_alias_bitwise_above_pairwise_block(self, zeros):
+        # n = 1e4 is past numpy's 128-element pairwise-summation block
+        rng = np.random.default_rng(5)
+        w = rng.dirichlet(np.full(10_000, 0.5))
+        w = np.insert(w, rng.integers(0, w.size, zeros), 0.0)
+        p = make_dist(w)
+        for alpha in (0.3, 0.5, 1.0):
+            assert ubriaco_entropy(p, alpha) == entropy(p, EntropyParams(alpha))
+
+    def test_safe_branch_sees_only_near_elements(self, monkeypatch):
+        seen = []
+        log1p = np.log1p
+
+        def counting_log1p(x, *args, **kwargs):
+            seen.append(np.size(x))
+            return log1p(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log1p", counting_log1p)
+        params = EntropyParams(0.5, 1.0)
+        entropy(make_dist(np.full(10_000, 1e-4)), params)
+        assert sum(seen) == 0
+        # 0.9 > e**-0.5 is the one weight with -ln p < lam/2
+        w = np.full(10_000, 0.1 / 9_999)
+        w[0] = 0.9
+        entropy(make_dist(w), params)
+        assert sum(seen) == 1

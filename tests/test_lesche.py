@@ -269,6 +269,10 @@ class TestSweep:
             ["A"], [1000], 0.1, EntropyParams(0.5)
         )
 
+    def test_n_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="fit in a float"):
+            sweep(["A"], [10, 10**400], 0.1, EntropyParams(0.5))
+
     def test_repeated_family_rejected(self):
         with pytest.raises(DomainError, match="repeated family"):
             sweep(["A", "A"], [10], 0.1, EntropyParams(0.5))
