@@ -16,6 +16,7 @@ Every subcommand is deterministic for a fixed argv (seeded RNG only).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -72,12 +73,15 @@ def _num_list(cast):
 
 
 def _greater_than(cast, bound):
-    """argparse type: one `cast` value > bound; NaN is rejected too."""
+    """argparse type: one finite `cast` value > bound; NaN and inf are rejected."""
 
     def parse(text: str):
         value = cast(text)
-        if not value > bound:
-            raise argparse.ArgumentTypeError(f"must be > {bound}, got {text!r}")
+        # `< math.inf` rather than math.isfinite, which overflows on a huge int
+        if not bound < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and > {bound}, got {text!r}"
+            )
         return value
 
     # argparse names the type in its "invalid <type> value" message

@@ -241,10 +241,13 @@ def max_entropy(n: int, params: EntropyParams) -> float:
     """Entropy of the uniform distribution on n outcomes, evaluated in closed form.
 
     Equals (lam + ln n)**sigma - lam**sigma, the maximum of S over the
-    n-simplex; used as the normalizer in stability ratios.
+    n-simplex; used as the normalizer in stability ratios.  n may be an
+    int of any size or an integral float; NaN, inf and fractions are
+    rejected.
     """
-    if n < 2:
-        raise DomainError(f"max_entropy needs n >= 2, got {n!r}")
+    # a Python int never goes through float(), which overflows past 1e308
+    if not (n >= 2) or not (isinstance(n, int) or float(n).is_integer()):
+        raise DomainError(f"max_entropy needs an integer n >= 2, got {n!r}")
     return float(_power_gap(math.log(n), params.sigma, params.lam))
 
 

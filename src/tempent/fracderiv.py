@@ -32,14 +32,16 @@ exactly, not merely weakened).  On (1, inf) the integrand decays like
 exp(-c*u); it is truncated at u* = -ln(tol * 1e-3) / c and the exact
 tail bound Integral_{u*}^inf u**(-sigma) exp(-c*u) du <= exp(-c*u*)/c
 is added to the reported error estimate.
+
+scipy is imported on the first quadrature only, inside
+laplace_singular_quad, so importing this module (and tempent) does not
+load scipy; the closed form and gamma_fn never need it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .core import DomainError
 
@@ -117,13 +119,19 @@ def laplace_singular_quad(c: float, sigma: float, tol: float = 1e-10) -> QuadRes
     module docstring); the tail beyond u* = -ln(tol*1e-3)/c is replaced
     by its analytic bound, which is folded into err_estimate.  Raises
     ToleranceNotReached if the certified error exceeds tol * |value|.
+    scipy.integrate is imported on the first call, after the arguments
+    are checked.
     """
     if not (c > 0.0) or not math.isfinite(c):
         raise DomainError(f"need finite c > 0, got {c!r}")
     if not (0.0 < sigma < 1.0):
         raise DomainError(f"sigma must lie in (0, 1), got {sigma!r}")
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    # the tail cut u* = -ln(tol * 1e-3) / c needs tol * 1e-3 > 0, which
+    # also rules out tol <= 0 and NaN
+    if not (tol * 1e-3 > 0.0) or not math.isfinite(tol):
+        raise DomainError(f"tol must be finite with tol * 1e-3 > 0, got {tol!r}")
+
+    from scipy.integrate import quad
 
     # quadpack refuses epsrel below ~50*eps; clamp and let the final
     # certification against tol decide whether to raise

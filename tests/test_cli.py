@@ -238,3 +238,8 @@ class TestVerifyFracCommand:
     def test_negative_tol_exits_2(self, capsys):
         assert run(["verify-frac", "--tol", "-1"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_infinite_tol_exits_2(self, capsys):
+        # with tol = inf the allowance max(tol * |ref|, ...) admits any miss
+        assert run(["verify-frac", "--tol", "inf"]) == 2
+        assert capsys.readouterr().out == ""

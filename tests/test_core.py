@@ -301,6 +301,20 @@ class TestMaxEntropy:
         with pytest.raises(DomainError):
             max_entropy(1, EntropyParams(0.5))
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, 1e3 + 0.5])
+    def test_non_integral_n_rejected(self, n):
+        # math.log accepts each of these, but none is an outcome count
+        with pytest.raises(DomainError):
+            max_entropy(n, EntropyParams(0.5, 1.0))
+
+    def test_integral_float_and_huge_int_kept(self):
+        params = EntropyParams(0.5, 1.0)
+        assert max_entropy(1e3, params) == max_entropy(1000, params)
+        # math.log takes a Python int beyond the float range exactly
+        big = 10**400
+        want = float(core._power_gap(math.log(big), 0.5, 1.0))
+        assert max_entropy(big, params) == want
+
 
 class TestGFunc:
     def test_zero_exact(self):

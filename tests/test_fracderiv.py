@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +97,17 @@ class TestLaplaceQuad:
             laplace_singular_quad(1.0, 1.0)
         with pytest.raises(DomainError):
             laplace_singular_quad(1.0, 0.5, tol=0.0)
+
+    def test_infinite_tol_rejected(self):
+        # an infinite tol would certify any error estimate, inf included
+        with pytest.raises(DomainError):
+            laplace_singular_quad(1.0, 0.5, tol=math.inf)
+
+    def test_tol_underflowing_tail_cut_rejected(self):
+        # 1e-322 * 1e-3 rounds to 0, so the tail cut -ln(tol * 1e-3) / c
+        # has no value
+        with pytest.raises(DomainError):
+            laplace_singular_quad(1.0, 0.5, tol=1e-322)
 
 
 class TestFracParams:
@@ -213,3 +229,64 @@ class TestDerivativeClosure:
         d = (ival(fp.t + h) - ival(fp.t - h)) / (2.0 * h)
         prefactor = math.exp(-fp.lam * fp.t) / gamma_fn(1.0 - fp.sigma)
         assert tempered_derivative_numeric(fp, h=h, richardson=False) == prefactor * d
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(script: str) -> str:
+    """Run script in a fresh interpreter that imports tempent from src/."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), path]))}
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestScipyLoadedLazily:
+    # a fresh interpreter: this test process may hold scipy already
+
+    def test_non_quadrature_commands_never_import_scipy(self):
+        out = run_fresh(
+            """
+            import contextlib, io, sys
+            import tempent
+            from tempent import cli
+
+            lines = [
+                ["entropy", "--sigma", "0.5", "--lambda", "0", "--dist", "0.5,0.5"],
+                ["check-axioms", "--sigma", "0.5", "--lambda", "1", "--n", "2,5",
+                 "--samples", "10000", "--seed", "0"],
+                ["sweep", "--family", "A,B", "--sigma", "0.5", "--lambda", "1",
+                 "--delta", "1e-3", "--n", "100,1000,1000000", "--control-renyi", "0.5"],
+                ["search", "--sigma", "1", "--lambda", "0", "--delta", "0.1", "--n", "3",
+                 "--samples", "10000", "--seed", "7"],
+            ]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.run(argv) for argv in lines]
+            print(codes, sorted(m for m in ("scipy", "scipy.integrate") if m in sys.modules))
+            """
+        )
+        assert out == "[0, 0, 0, 0] []\n"
+
+    def test_first_quadrature_imports_scipy(self):
+        out = run_fresh(
+            """
+            import math, sys
+            from tempent import DomainError, laplace_singular_quad
+
+            try:
+                laplace_singular_quad(1.0, 0.5, tol=math.inf)
+            except DomainError:
+                pass
+            print("scipy.integrate" in sys.modules)
+            laplace_singular_quad(1.0, 0.5)
+            print("scipy.integrate" in sys.modules)
+            """
+        )
+        assert out == "False\nTrue\n"
