@@ -19,6 +19,8 @@ Checked properties:
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -74,6 +76,8 @@ def _sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
     # normalized standard exponentials == Dirichlet(1, ..., 1)
     if n < 1 or count < 1:
         raise DomainError(f"need n >= 1 and count >= 1, got n={n}, count={count}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     e = rng.standard_exponential((count, n))
     w = e / e.sum(axis=1, keepdims=True)
@@ -210,8 +214,8 @@ def check_lambda_inequality(p: ProbDist, sigma: float, lam: float) -> AxiomRepor
 
 def check_power_subadditivity(x: float, y: float, alpha: float) -> AxiomReport:
     """(x + y)**alpha <= x**alpha + y**alpha for x, y >= 0, alpha in (0, 1)."""
-    if x < 0.0 or y < 0.0:
-        raise DomainError(f"need x, y >= 0, got x={x!r}, y={y!r}")
+    if not (math.isfinite(x) and math.isfinite(y)) or x < 0.0 or y < 0.0:
+        raise DomainError(f"need finite x, y >= 0, got x={x!r}, y={y!r}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     worst = (x + y) ** alpha - (x**alpha + y**alpha)

@@ -18,12 +18,17 @@ which vanishes exactly at x = 0 and x = 1.  The bracket
 (lam + y)**sigma - lam**sigma (y = -ln x >= 0) suffers catastrophic
 cancellation when y << lam, so where y < lam/2, and only there, it is
 evaluated as lam**sigma * expm1(sigma * log1p(y / lam)).
+
+-ln p is computed once per distribution: a ProbDist keeps the vector
+y = -ln p_i over its nonzero weights after its first entropy() call, so
+evaluating S at many (sigma, lam) pairs pays for the logarithm once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,13 +104,16 @@ def _check_rows(w: np.ndarray) -> None:
     (non-finite entry or an entry above 1), NegativeWeight, or SumNotOne
     for the first offending entry or row, in that order of checks.
     """
-    if not np.isfinite(w).all():
-        raise DomainError("weights must be finite")
-    if (w < 0.0).any():
-        bad = float(w[w < 0.0][0])
-        raise NegativeWeight(f"negative weight {bad!r}")
-    # the sum check alone admits 1 + 1 ulp, where -ln w < 0 and S is NaN
-    if w.max() > 1.0:
+    lo, hi = w.min(), w.max()
+    # min and max propagate NaN, so this one test clears every entry; the
+    # ordered checks below only name the first offender
+    if not (0.0 <= lo and hi <= 1.0):
+        if not np.isfinite(w).all():
+            raise DomainError("weights must be finite")
+        if lo < 0.0:
+            bad = float(w[w < 0.0][0])
+            raise NegativeWeight(f"negative weight {bad!r}")
+        # the sum check alone admits 1 + 1 ulp, where -ln w < 0 and S is NaN
         bad = float(w[w > 1.0][0])
         raise DomainError(f"weight {bad!r} exceeds 1")
     total = w.sum(axis=-1)
@@ -123,6 +131,10 @@ class ProbDist:
     rejects rather than repairs: negative entries raise NegativeWeight,
     an entry above 1 raises DomainError, and a sum off by more than
     SUM_TOL raises SumNotOne.
+
+    The first entropy() call caches -ln p_i over the nonzero weights:
+    one float64 per nonzero outcome, plus a filtered copy of the weights
+    when any weight is 0.  Every later call at any (sigma, lam) reuses it.
     """
 
     weights: np.ndarray
@@ -139,6 +151,18 @@ class ProbDist:
     @property
     def n(self) -> int:
         return int(self.weights.size)
+
+    @cached_property
+    def _neg_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, -ln w) over the nonzero weights, both read-only."""
+        w = self.weights
+        if not w.all():
+            w = w[w > 0.0]
+            w.flags.writeable = False
+        y = np.log(w)
+        np.negative(y, out=y)
+        y.flags.writeable = False
+        return w, y
 
 
 def make_dist(weights) -> ProbDist:
@@ -205,12 +229,11 @@ def generator_derivative(x: float, params: EntropyParams):
 
 
 def entropy(p: ProbDist, params: EntropyParams) -> float:
-    """Tempered entropy S(p) = sum_i f(p_i); zero weights are skipped."""
-    w = p.weights
-    if not w.all():
-        w = w[w > 0.0]
-    y = np.log(w)
-    np.negative(y, out=y)
+    """Tempered entropy S(p) = sum_i f(p_i); zero weights are skipped.
+
+    -ln p_i is taken on p's first call and reused by every later one.
+    """
+    w, y = p._neg_log
     gap = _power_gap(y, params.sigma, params.lam)
     gap *= w
     return float(np.sum(gap))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,6 +319,8 @@ def random_pair_search(
         raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
     if iterations < 0:
         raise DomainError(f"iterations must be >= 0, got {iterations}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     smax = max_entropy(n, params)
 

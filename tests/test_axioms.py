@@ -217,6 +217,13 @@ class TestPowerSubadditivity:
         with pytest.raises(DomainError):
             check_power_subadditivity(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "x,y", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_non_finite_rejected(self, x, y):
+        with pytest.raises(DomainError, match="finite"):
+            check_power_subadditivity(x, y, 0.5)
+
 # (axiom, samples_checked, worst_violation.hex(), threshold) per suite row and
 # a sha256 of the witnesses of the three aggregated rows (expansibility,
 # entropy concavity, lambda inequality), recorded from the per-check loops
@@ -325,6 +332,11 @@ class TestSuite:
                     assert np.array_equal(got.witness[key].weights, value.weights)
                 else:
                     assert got.witness[key] == value
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            run_axiom_suite(3, EntropyParams(0.5), samples=10, seed=seed)
 
     def test_scalar_calls_do_not_grow_with_samples(self, monkeypatch):
         # pairwise checks are scored in batch; only each witness goes

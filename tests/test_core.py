@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,49 @@ class TestCheckRows:
     def test_valid_rows_pass(self):
         core._check_rows(np.full((4, 3), 1.0 / 3.0))
         core._check_rows(np.array([0.5, 0.5 + 4e-13]))
+
+    @pytest.mark.parametrize(
+        "row,exc",
+        [
+            ([float("nan"), -1.0, 2.0], DomainError),
+            ([-0.5, 1.5, 0.0], NegativeWeight),
+            ([float("inf"), -float("inf"), 0.0], DomainError),
+        ],
+    )
+    def test_mixed_faults_keep_the_check_order(self, row, exc):
+        w = np.full((3, 3), 1.0 / 3.0)
+        w[1] = row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(exc) as got:
+                core._check_rows(w)
+            with pytest.raises(exc) as want:
+                make_dist(row)
+        assert str(got.value) == str(want.value)
+
+    def test_negative_zero_accepted(self):
+        core._check_rows(np.array([[-0.0, 1.0], [0.5, 0.5]]))
+        assert make_dist([-0.0, 1.0]).n == 2
+
+    def test_one_bad_row_of_each_kind(self):
+        # rows in reverse order of the checks: the finite check still wins,
+        # and each fault is named once every earlier kind is gone
+        rows = [
+            [0.6, 0.6, 0.0],
+            [np.nextafter(1, 2), 0.0, 0.0],
+            [0.6, 0.5, -0.1],
+            [float("nan"), 0.5, 0.5],
+        ]
+        excs = [SumNotOne, DomainError, NegativeWeight, DomainError]
+        while rows:
+            w = np.vstack([np.full(3, 1.0 / 3.0)] + rows)
+            with pytest.raises(excs[-1]) as got:
+                core._check_rows(w)
+            with pytest.raises(excs[-1]) as want:
+                make_dist(rows[-1])
+            assert str(got.value) == str(want.value)
+            rows.pop()
+            excs.pop()
 
 
 class TestEntropyParams:
@@ -407,3 +451,77 @@ class TestPowerGap:
         w[0] = 0.9
         entropy(make_dist(w), params)
         assert sum(seen) == 1
+
+
+def per_call_entropy(p, params):
+    # entropy's body when it took -ln p on every call: the bit reference
+    w = p.weights
+    if not w.all():
+        w = w[w > 0.0]
+    y = np.log(w)
+    np.negative(y, out=y)
+    gap = core._power_gap(y, params.sigma, params.lam)
+    gap *= w
+    return float(np.sum(gap))
+
+
+class TestEntropyCache:
+    """-ln p is taken once per ProbDist and reused at every (sigma, lam)."""
+
+    PARAMS = [
+        EntropyParams(sigma, lam)
+        for sigma in (0.05, 0.25, 0.5, 1.0)
+        for lam in (0.0, 1e-300, 1.0, 1e300)
+    ]
+
+    @pytest.mark.parametrize("n", [1, 3, 129, 10_000])
+    @pytest.mark.parametrize("zeros", [0, 3])
+    def test_bits_match_per_call_reference(self, n, zeros):
+        rng = np.random.default_rng(n + zeros)
+        w = rng.standard_exponential(n)
+        w /= w.sum()
+        w = np.insert(w, rng.integers(0, n + 1, zeros), 0.0)
+        p = make_dist(w)
+        for _ in range(3):
+            for k in rng.permutation(len(self.PARAMS)):
+                params = self.PARAMS[k]
+                assert entropy(p, params).hex() == per_call_entropy(p, params).hex()
+
+    def test_one_log_per_distribution(self, monkeypatch):
+        calls = []
+        log = np.log
+
+        def counting_log(x, *args, **kwargs):
+            calls.append(np.size(x))
+            return log(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log", counting_log)
+        w = np.full(1_000, 1.0 / 999)
+        w[17] = 0.0
+        p = make_dist(w)
+        for sigma in (0.25, 0.5, 1.0):
+            for lam in (0.0, 1.0):
+                entropy(p, EntropyParams(sigma, lam))
+        assert calls == [999]
+
+    @pytest.mark.parametrize("w", [[0.25, 0.75], [0.5, 0.0, 0.25, 0.25]])
+    def test_cache_is_read_only(self, w):
+        p = make_dist(w)
+        before = p.weights.tobytes()
+        for params in self.PARAMS:
+            entropy(p, params)
+        cached_w, y = p._neg_log
+        for a in (cached_w, y):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+        assert p.weights.tobytes() == before
+        assert not p.weights.flags.writeable
+
+    def test_reference_paths_do_not_fill_the_cache(self):
+        p = make_dist([0.2, 0.3, 0.5])
+        ubriaco_entropy(p, 0.5)
+        shannon_entropy(p)
+        assert "_neg_log" not in vars(p)
+        entropy(p, EntropyParams(0.5))
+        assert "_neg_log" in vars(p)

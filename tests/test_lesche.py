@@ -410,3 +410,8 @@ class TestRandomPairSearch:
             random_pair_search(1, 0.1, EntropyParams(0.5))
         with pytest.raises(DomainError):
             random_pair_search(3, 1.5, EntropyParams(0.5))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            random_pair_search(3, 0.1, EntropyParams(0.5), seed=seed)
