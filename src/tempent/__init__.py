@@ -9,7 +9,6 @@ Modules:
 """
 
 from .core import (
-    UNBOUNDED,
     DimensionMismatch,
     DomainError,
     EntropyParams,
@@ -18,9 +17,7 @@ from .core import (
     SumNotOne,
     TooFewOutcomes,
     entropy,
-    g_func,
     generator,
-    generator_derivative,
     make_dist,
     max_entropy,
     shannon_entropy,
@@ -46,13 +43,11 @@ from .fracderiv import (
     gamma_fn,
     laplace_singular_quad,
     tempered_derivative_numeric,
-    tempered_integral,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "UNBOUNDED",
     "DimensionMismatch",
     "DomainError",
     "EntropyParams",
@@ -61,9 +56,7 @@ __all__ = [
     "SumNotOne",
     "TooFewOutcomes",
     "entropy",
-    "g_func",
     "generator",
-    "generator_derivative",
     "make_dist",
     "max_entropy",
     "shannon_entropy",
@@ -88,6 +81,5 @@ __all__ = [
     "gamma_fn",
     "laplace_singular_quad",
     "tempered_derivative_numeric",
-    "tempered_integral",
     "__version__",
 ]

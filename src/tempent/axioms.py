@@ -74,8 +74,8 @@ def sample_simplex(n: int, count: int, seed: int) -> list[ProbDist]:
 
 def _sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
     # normalized standard exponentials == Dirichlet(1, ..., 1)
-    if n < 1 or count < 1:
-        raise DomainError(f"need n >= 1 and count >= 1, got n={n}, count={count}")
+    if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (n, count)):
+        raise DomainError(f"need integers n, count >= 1, got n={n!r}, count={count!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
@@ -144,10 +144,8 @@ def check_expansibility(p: ProbDist, params: EntropyParams) -> AxiomReport:
     )
 
 
-def check_generator_concavity(
-    params: EntropyParams, grid_points: int = 199
-) -> AxiomReport:
-    """Central-difference f'' <= 0 on x in [0.005, 0.995], step h = 1e-4.
+def check_generator_concavity(params: EntropyParams) -> AxiomReport:
+    """Central-difference f'' <= 0 at 199 points of [0.005, 0.995], step h = 1e-4.
 
     f'' has an integrable singularity at both endpoints for sigma < 1;
     the interior grid stays clear of it.  Analytically
@@ -155,10 +153,8 @@ def check_generator_concavity(
     strictly negative on (0, 1), so the tolerance only absorbs
     finite-difference truncation and rounding.
     """
-    if grid_points < 3:
-        raise DomainError(f"grid_points must be >= 3, got {grid_points}")
     h = 1e-4
-    x = np.linspace(0.005, 0.995, grid_points)
+    x = np.linspace(0.005, 0.995, 199)
 
     def f(v: np.ndarray) -> np.ndarray:
         return v * core._power_gap(-np.log(v), params.sigma, params.lam)
@@ -167,7 +163,7 @@ def check_generator_concavity(
     i = int(np.argmax(d2))
     return AxiomReport(
         axiom=Axiom.GENERATOR_CONCAVITY,
-        samples_checked=grid_points,
+        samples_checked=x.size,
         worst_violation=float(d2[i]),
         threshold=1e-6,
         witness={"x": float(x[i]), "h": h, "params": params},

@@ -52,7 +52,12 @@ def _emit(lines: list[str], path: Optional[str] = None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            # exit 2, like any bad argument: exit 1 would mean a check failed
+            raise DomainError(f"cannot write --out {path}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
 
 

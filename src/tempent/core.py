@@ -57,28 +57,6 @@ class DimensionMismatch(ValueError):
 SUM_TOL = 1e-12
 
 
-class _Unbounded:
-    """Singleton marking a derivative that diverges to -infinity.
-
-    Returned by :func:`generator_derivative` at x = 1 when lam = 0 and
-    sigma < 1.  A sentinel, not an IEEE infinity: arithmetic with it is
-    a bug, so it deliberately supports none.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _Unbounded()
-
-
 @dataclass(frozen=True)
 class EntropyParams:
     """Parameter pair (sigma, lam) defining one member of the entropy family.
@@ -185,9 +163,7 @@ def _power_gap(y, sigma: float, lam: float):
     near = y < 0.5 * lam
     if near.all():
         return _near_gap(y, sigma, lam)
-    # lam + y may overflow for the huge finite x that g_func accepts
-    with np.errstate(over="ignore"):
-        gap = (lam + y) ** sigma - lam**sigma
+    gap = (lam + y) ** sigma - lam**sigma
     if near.any():
         gap[near] = _near_gap(y[near], sigma, lam)
     return gap
@@ -209,23 +185,6 @@ def generator(x: float, params: EntropyParams) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return float(x * _power_gap(-math.log(x), params.sigma, params.lam))
-
-
-def generator_derivative(x: float, params: EntropyParams):
-    """f'(x) = (lam - ln x)**sigma - lam**sigma - sigma*(lam - ln x)**(sigma-1).
-
-    Domain is (0, 1].  At x = 1 with lam = 0 and sigma < 1 the last term
-    diverges; the sentinel UNBOUNDED is returned instead of an IEEE inf.
-    For lam > 0 the derivative at x = 1 is finite: -sigma * lam**(sigma-1).
-    """
-    if not (0.0 < x <= 1.0):
-        raise DomainError(f"generator_derivative needs x in (0, 1], got {x!r}")
-    sigma, lam = params.sigma, params.lam
-    if x == 1.0 and lam == 0.0 and sigma < 1.0:
-        return UNBOUNDED
-    y = -math.log(x)
-    gap = float(_power_gap(y, sigma, lam))
-    return gap - sigma * (lam + y) ** (sigma - 1.0)
 
 
 def entropy(p: ProbDist, params: EntropyParams) -> float:
@@ -272,18 +231,6 @@ def max_entropy(n: int, params: EntropyParams) -> float:
     if not (n >= 2) or not (isinstance(n, int) or float(n).is_integer()):
         raise DomainError(f"max_entropy needs an integer n >= 2, got {n!r}")
     return float(_power_gap(math.log(n), params.sigma, params.lam))
-
-
-def g_func(x: float, params: EntropyParams) -> float:
-    """Shifted power gap g(x) = (lam + x)**sigma - lam**sigma for x >= 0.
-
-    The concave, subadditive envelope behind the entropy's upper bounds:
-    g(0) = 0 exactly, g is increasing, and for sigma = 1 it is the
-    identity regardless of lam.
-    """
-    if not (x >= 0.0) or not math.isfinite(x):
-        raise DomainError(f"g_func needs finite x >= 0, got {x!r}")
-    return float(_power_gap(x, params.sigma, params.lam))
 
 
 def _entropy_rows(w: np.ndarray, params: EntropyParams) -> np.ndarray:

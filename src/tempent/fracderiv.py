@@ -176,21 +176,6 @@ def _rate(params: FracParams) -> float:
     return params.lam - math.log(params.p)
 
 
-def tempered_integral(params: FracParams) -> QuadResult:
-    """I(t) = Integral_{-inf}^t (t-s)**(-sigma) exp(lam*s) exp(-s ln p) ds.
-
-    Computed as exp(t*c) times the Laplace integral with c = lam - ln p.
-    """
-    c = _rate(params)
-    factor = math.exp(params.t * c)
-    base = laplace_singular_quad(c, params.sigma)
-    return QuadResult(
-        value=factor * base.value,
-        err_estimate=factor * base.err_estimate,
-        evaluations=base.evaluations,
-    )
-
-
 def tempered_derivative_numeric(
     params: FracParams,
     h: float | None = None,
@@ -215,7 +200,6 @@ def tempered_derivative_numeric(
     q = laplace_singular_quad(c, params.sigma).value
 
     def ival(t: float) -> float:
-        # the same product tempered_integral forms, so bit-identical to it
         return math.exp(t * c) * q
 
     def central(step: float) -> float:

@@ -124,8 +124,8 @@ def _family_weights(family: Family, n: int, delta: float):
     min_n = _FAMILY_MIN_N.get(family)
     if min_n is None:
         raise DomainError(f"no aggregated form for family {family!r}")
-    if n < min_n:
-        raise DomainError(f"family {family.value} needs n >= {min_n}, got {n}")
+    if not isinstance(n, numbers.Integral) or n < min_n:
+        raise DomainError(f"family {family.value} needs integer n >= {min_n}, got {n!r}")
     if family is Family.CERTAINTY_A:
         return (1.0, 0.0), (1.0 - delta / 2.0, delta / (2.0 * (n - 1)))
     return (0.0, 1.0 / (n - 1)), (delta / 2.0, (1.0 - delta / 2.0) / (n - 1))
@@ -317,8 +317,8 @@ def random_pair_search(
         raise DomainError(f"need n >= 2, got {n}")
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
-    if iterations < 0:
-        raise DomainError(f"iterations must be >= 0, got {iterations}")
+    if not isinstance(iterations, numbers.Integral) or iterations < 0:
+        raise DomainError(f"iterations must be an integer >= 0, got {iterations!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)

@@ -69,6 +69,11 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_simplex(0, 5, seed=0)
 
+    @pytest.mark.parametrize("n,count", [(3, 1.5), (3, 5.0), (2.5, 5), (math.nan, 5)])
+    def test_non_integer_size_rejected(self, n, count):
+        with pytest.raises(DomainError, match="need integers n, count >= 1"):
+            sample_simplex(n, count, seed=0)
+
 
 class TestMaximality:
     @pytest.mark.parametrize("params", PARAM_GRID)
@@ -130,10 +135,6 @@ class TestGeneratorConcavity:
         for x in (0.1, 0.3, 0.5, 0.7, 0.9):
             fd = (f(x - h) - 2.0 * f(x) + f(x + h)) / (h * h)
             assert math.isclose(fd, analytic_f2(x, params), rel_tol=1e-4)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            check_generator_concavity(EntropyParams(0.5), grid_points=2)
 
 
 class TestEntropyConcavity:
@@ -337,6 +338,11 @@ class TestSuite:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             run_axiom_suite(3, EntropyParams(0.5), samples=10, seed=seed)
+
+    @pytest.mark.parametrize("n,samples", [(2.5, 10), (3.0, 10), (3, 1.5), (3, 10.0)])
+    def test_non_integer_size_rejected(self, n, samples):
+        with pytest.raises(DomainError, match="need integers n, count >= 1"):
+            run_axiom_suite(n, EntropyParams(0.5), samples=samples)
 
     def test_scalar_calls_do_not_grow_with_samples(self, monkeypatch):
         # pairwise checks are scored in batch; only each witness goes

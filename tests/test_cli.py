@@ -119,6 +119,16 @@ class TestSweepCommand:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        args = ["sweep", "--family", "A", "--sigma", "0.5", "--delta", "0.1"]
+        assert run(args + ["--n", "10", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(out) in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not out.parent.exists()
+
     def test_unknown_family_exits_2(self, capsys):
         assert run(["sweep", "--family", "Q", "--sigma", "0.5", "--delta", "1e-3", "--n", "10"]) == 2
         capsys.readouterr()
@@ -191,6 +201,15 @@ class TestSearchCommand:
         got = lines_of(a)
         assert len(got) == 2
         assert got[1].startswith("RandomSearch,3,0.1,")
+
+    def test_out_is_a_directory_exits_2(self, tmp_path, capsys):
+        args = ["search", "--sigma", "0.5", "--delta", "0.1", "--n", "3"]
+        assert run(args + ["--samples", "10", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(tmp_path) in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_multiple_n_exits_2(self, capsys):
         assert (

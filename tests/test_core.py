@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -6,16 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempent import (
-    UNBOUNDED,
     DomainError,
     EntropyParams,
     NegativeWeight,
     SumNotOne,
     TooFewOutcomes,
     entropy,
-    g_func,
     generator,
-    generator_derivative,
     make_dist,
     max_entropy,
     shannon_entropy,
@@ -36,8 +34,6 @@ G_BRANCH = 4.9999875000624996e-5         # g(0.001), sigma=0.5, lam=100
 G_BELOW = 2.2433655503705353             # g(49.9),  sigma=0.5, lam=100
 G_ABOVE = 2.2515305166334218             # g(50.1),  sigma=0.5, lam=100
 G_TINY = 1.096728343989986e-10           # g(1e-9),  sigma=0.25, lam=3
-DERIV_HALF_L1 = -0.08304787047122486     # f'(0.5), sigma=0.5, lam=1
-DERIV_HALF_S1 = -0.30685281944005469     # f'(0.5), sigma=1, lam=0
 GEN_HALF_S1 = 0.34657359027997265        # f(0.5), sigma=1, lam=0  (= ln(2)/2)
 
 
@@ -216,32 +212,6 @@ class TestGenerator:
             assert generator(float(x), params) > 0.0
 
 
-class TestGeneratorDerivative:
-    def test_frozen_interior(self):
-        assert close(generator_derivative(0.5, EntropyParams(0.5, 1.0)), DERIV_HALF_L1)
-        assert close(generator_derivative(0.5, EntropyParams(1.0)), DERIV_HALF_S1)
-
-    def test_at_one_tempered_finite(self):
-        # f'(1) = -sigma * lam**(sigma-1), exact for these inputs
-        assert generator_derivative(1.0, EntropyParams(0.5, 1.0)) == -0.5
-        assert generator_derivative(1.0, EntropyParams(0.25, 1.0)) == -0.25
-
-    def test_at_one_untempered_diverges(self):
-        out = generator_derivative(1.0, EntropyParams(0.5, 0.0))
-        assert out is UNBOUNDED
-        assert repr(out) == "UNBOUNDED"
-        assert not isinstance(out, float)
-
-    def test_at_one_shannon_case(self):
-        assert generator_derivative(1.0, EntropyParams(1.0, 0.0)) == -1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            generator_derivative(0.0, EntropyParams(0.5))
-        with pytest.raises(DomainError):
-            generator_derivative(1.1, EntropyParams(0.5))
-
-
 class TestEntropy:
     def test_frozen_values(self):
         assert close(entropy(make_dist([0.5, 0.5]), EntropyParams(0.5)), ENT_HALF_HALF)
@@ -360,37 +330,39 @@ class TestMaxEntropy:
         assert max_entropy(big, params) == want
 
 
+def g(x, params):
+    """g(x) = (lam + x)**sigma - lam**sigma, the power gap as a float."""
+    return float(core._power_gap(x, params.sigma, params.lam))
+
+
 class TestGFunc:
     def test_zero_exact(self):
-        assert g_func(0.0, EntropyParams(0.5, 2.0)) == 0.0
-        assert g_func(0.0, EntropyParams(0.5, 0.0)) == 0.0
+        assert g(0.0, EntropyParams(0.5, 2.0)) == 0.0
+        assert g(0.0, EntropyParams(0.5, 0.0)) == 0.0
 
     def test_frozen_value(self):
-        assert close(g_func(1.0, EntropyParams(0.5, 1.0)), G_ONE)
+        assert close(g(1.0, EntropyParams(0.5, 1.0)), G_ONE)
 
     def test_sigma_one_is_identity(self):
         for lam in (0.0, 5.0):
-            assert close(g_func(3.0, EntropyParams(1.0, lam)), 3.0)
+            assert close(g(3.0, EntropyParams(1.0, lam)), 3.0)
 
     def test_cancellation_branch(self):
         # y << lam: naive (lam+y)**s - lam**s loses ~half its digits here
-        assert close(g_func(0.001, EntropyParams(0.5, 100.0)), G_BRANCH, rel=1e-13)
-        assert close(g_func(1e-9, EntropyParams(0.25, 3.0)), G_TINY, rel=1e-13)
+        assert close(g(0.001, EntropyParams(0.5, 100.0)), G_BRANCH, rel=1e-13)
+        assert close(g(1e-9, EntropyParams(0.25, 3.0)), G_TINY, rel=1e-13)
 
     def test_branch_seam_continuous(self):
         # straddle the y = lam/2 switch point
-        assert close(g_func(49.9, EntropyParams(0.5, 100.0)), G_BELOW, rel=1e-13)
-        assert close(g_func(50.1, EntropyParams(0.5, 100.0)), G_ABOVE, rel=1e-13)
+        assert close(g(49.9, EntropyParams(0.5, 100.0)), G_BELOW, rel=1e-13)
+        assert close(g(50.1, EntropyParams(0.5, 100.0)), G_ABOVE, rel=1e-13)
 
     def test_monotone_increasing(self):
         params = EntropyParams(0.4, 1.5)
         xs = np.linspace(0.0, 20.0, 41)
-        vals = [g_func(float(x), params) for x in xs]
+        vals = [g(float(x), params) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            g_func(-0.5, EntropyParams(0.5))
 
 
 def two_branch_gap(y, sigma, lam):
@@ -423,6 +395,26 @@ class TestPowerGap:
             want = float(two_branch_gap(v, sigma, lam)).hex()
             assert float(core._power_gap(np.array(v), sigma, lam)).hex() == want
             assert float(core._power_gap(float(v), sigma, lam)).hex() == want
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.5, 1.0])
+    def test_largest_lam_finite_and_warning_free(self, sigma):
+        # y = -ln p <= 745 and ln n stay far below lam/2 here, so every
+        # caller takes the safe branch and lam + y is never formed
+        lam = sys.float_info.max
+        params = EntropyParams(sigma, lam)
+        # underflow stays ignored, numpy's default: y / lam is subnormal here
+        raising = np.errstate(over="raise", invalid="raise", divide="raise")
+        with warnings.catch_warnings(), raising:
+            warnings.simplefilter("error")
+            values = [
+                *core._power_gap(np.array([0.0, 1.0, 745.0, 1e6]), sigma, lam),
+                generator(5e-324, params),
+                generator(0.5, params),
+                entropy(make_dist([5e-324, 0.25, 0.75, 0.0]), params),
+                max_entropy(2, params),
+                max_entropy(10**400, params),
+            ]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)
 
     @pytest.mark.parametrize("zeros", [0, 37])
     def test_entropy_alias_bitwise_above_pairwise_block(self, zeros):
@@ -525,3 +517,37 @@ class TestEntropyCache:
         assert "_neg_log" not in vars(p)
         entropy(p, EntropyParams(0.5))
         assert "_neg_log" in vars(p)
+
+
+PUBLIC_NAMES = {
+    # core
+    "DimensionMismatch", "DomainError", "EntropyParams", "NegativeWeight",
+    "ProbDist", "SumNotOne", "TooFewOutcomes", "entropy", "generator",
+    "make_dist", "max_entropy", "shannon_entropy", "ubriaco_entropy",
+    # axioms
+    "Axiom", "AxiomReport", "run_axiom_suite", "sample_simplex",
+    # lesche
+    "Family", "PerturbPair", "StabilityRecord", "family_a_pair",
+    "family_b_pair", "random_pair_search", "renyi_entropy", "stability_ratio",
+    "sweep",
+    # fracderiv
+    "FracParams", "QuadResult", "ToleranceNotReached", "closed_form_derivative",
+    "gamma_fn", "laplace_singular_quad", "tempered_derivative_numeric",
+}
+
+
+def test_public_surface():
+    import tempent
+
+    assert len(PUBLIC_NAMES) == 33
+    assert set(tempent.__all__) == PUBLIC_NAMES | {"__version__"}
+    assert len(tempent.__all__) == len(set(tempent.__all__))
+    for name in tempent.__all__:
+        assert getattr(tempent, name) is not None
+    gone = {
+        core: ("g_func", "generator_derivative", "UNBOUNDED", "_Unbounded"),
+        tempent.fracderiv: ("tempered_integral",),
+    }
+    for module, names in gone.items():
+        for name in names:
+            assert not hasattr(tempent, name) and not hasattr(module, name)

@@ -64,6 +64,11 @@ class TestFamilyA:
         with pytest.raises(DomainError):
             family_a_pair(5, 1.5)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, math.nan])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(DomainError, match="needs integer n >= 2"):
+            family_a_pair(n, 0.1)
+
 
 class TestFamilyB:
     def test_exact_weights_n3(self):
@@ -81,6 +86,11 @@ class TestFamilyB:
             family_b_pair(2, 0.1)
         with pytest.raises(DomainError):
             family_b_pair(5, -0.1)
+
+    @pytest.mark.parametrize("n", [3.5, 4.0, math.nan])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(DomainError, match="needs integer n >= 3"):
+            family_b_pair(n, 0.1)
 
 
 class TestPerturbPair:
@@ -415,3 +425,8 @@ class TestRandomPairSearch:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             random_pair_search(3, 0.1, EntropyParams(0.5), seed=seed)
+
+    @pytest.mark.parametrize("iterations", [1.5, 10.0, math.nan])
+    def test_non_integer_iterations_rejected(self, iterations):
+        with pytest.raises(DomainError, match="iterations must be an integer >= 0"):
+            random_pair_search(3, 0.1, EntropyParams(0.5), iterations=iterations)
