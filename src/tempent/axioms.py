@@ -2,9 +2,9 @@
 
 Each check measures a worst-case violation of one property and returns
 an AxiomReport.  A report passes when worst_violation <= threshold; the
-thresholds are part of the contract, not knobs.  Witnesses carry enough
-state to re-evaluate the reported violation exactly through the public
-scalar API.
+thresholds, one per axiom in `_THRESHOLDS`, are part of the contract, not
+knobs.  Witnesses carry enough state to re-evaluate the reported violation
+exactly through the public scalar API.
 
 Checked properties:
   * nonnegativity          S(p) >= 0 on sampled simplices
@@ -21,7 +21,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -48,6 +49,18 @@ class Axiom(enum.Enum):
     POWER_SUBADDITIVITY = "power_subadditivity"
 
 
+# the pass threshold of each axiom: the largest worst_violation that passes
+_THRESHOLDS: dict[Axiom, float] = {
+    Axiom.NONNEGATIVITY: 1e-15,
+    Axiom.MAXIMALITY: 1e-9,
+    Axiom.EXPANSIBILITY: 0.0,
+    Axiom.GENERATOR_CONCAVITY: 1e-6,
+    Axiom.ENTROPY_CONCAVITY: 1e-10,
+    Axiom.LAMBDA_INEQUALITY: 1e-12,
+    Axiom.POWER_SUBADDITIVITY: 1e-12,
+}
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of one axiom check.
@@ -59,8 +72,11 @@ class AxiomReport:
     axiom: Axiom
     samples_checked: int
     worst_violation: float
-    threshold: float
-    witness: Optional[dict] = field(default=None)
+    witness: Optional[dict] = None
+
+    @property
+    def threshold(self) -> float:
+        return _THRESHOLDS[self.axiom]
 
     @property
     def passed(self) -> bool:
@@ -73,9 +89,14 @@ def sample_simplex(n: int, count: int, seed: int) -> list[ProbDist]:
 
 
 def _sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
-    # normalized standard exponentials == Dirichlet(1, ..., 1)
-    if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (n, count)):
-        raise DomainError(f"need integers n, count >= 1, got n={n!r}, count={count!r}")
+    # normalized standard exponentials == Dirichlet(1, ..., 1); no numpy axis
+    # is longer than sys.maxsize
+    ok = (isinstance(k, numbers.Integral) and 1 <= k <= sys.maxsize for k in (n, count))
+    if not all(ok):
+        raise DomainError(
+            "need integers n, count >= 1 and <= sys.maxsize,"
+            f" got n={n!r}, count={count!r}"
+        )
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
@@ -97,11 +118,7 @@ def check_nonnegativity(
     # re-evaluate through the scalar path so the witness reproduces exactly
     worst = -entropy(worst_p, params)
     return AxiomReport(
-        axiom=Axiom.NONNEGATIVITY,
-        samples_checked=samples,
-        worst_violation=worst,
-        threshold=1e-15,
-        witness={"p": worst_p, "params": params},
+        Axiom.NONNEGATIVITY, samples, worst, {"p": worst_p, "params": params}
     )
 
 
@@ -119,11 +136,7 @@ def check_maximality(
     worst_p = make_dist(w[i])
     worst = entropy(worst_p, params) - max_entropy(n, params)
     return AxiomReport(
-        axiom=Axiom.MAXIMALITY,
-        samples_checked=samples,
-        worst_violation=worst,
-        threshold=1e-9,
-        witness={"p": worst_p, "params": params},
+        Axiom.MAXIMALITY, samples, worst, {"p": worst_p, "params": params}
     )
 
 
@@ -135,13 +148,7 @@ def check_expansibility(p: ProbDist, params: EntropyParams) -> AxiomReport:
     """
     extended = make_dist(np.append(p.weights, 0.0))
     worst = abs(entropy(extended, params) - entropy(p, params))
-    return AxiomReport(
-        axiom=Axiom.EXPANSIBILITY,
-        samples_checked=1,
-        worst_violation=worst,
-        threshold=0.0,
-        witness={"p": p, "params": params},
-    )
+    return AxiomReport(Axiom.EXPANSIBILITY, 1, worst, {"p": p, "params": params})
 
 
 def check_generator_concavity(params: EntropyParams) -> AxiomReport:
@@ -161,13 +168,8 @@ def check_generator_concavity(params: EntropyParams) -> AxiomReport:
 
     d2 = (f(x - h) - 2.0 * f(x) + f(x + h)) / (h * h)
     i = int(np.argmax(d2))
-    return AxiomReport(
-        axiom=Axiom.GENERATOR_CONCAVITY,
-        samples_checked=x.size,
-        worst_violation=float(d2[i]),
-        threshold=1e-6,
-        witness={"x": float(x[i]), "h": h, "params": params},
-    )
+    witness = {"x": float(x[i]), "h": h, "params": params}
+    return AxiomReport(Axiom.GENERATOR_CONCAVITY, x.size, float(d2[i]), witness)
 
 
 def check_entropy_concavity(
@@ -183,11 +185,7 @@ def check_entropy_concavity(
         mix, params
     )
     return AxiomReport(
-        axiom=Axiom.ENTROPY_CONCAVITY,
-        samples_checked=1,
-        worst_violation=worst,
-        threshold=1e-10,
-        witness={"p": p, "q": q, "t": t, "params": params},
+        Axiom.ENTROPY_CONCAVITY, 1, worst, {"p": p, "q": q, "t": t, "params": params}
     )
 
 
@@ -198,14 +196,9 @@ def check_lambda_inequality(p: ProbDist, sigma: float, lam: float) -> AxiomRepor
     (its lam-derivative is sigma*((lam+y)**(sigma-1) - lam**(sigma-1)) <= 0).
     """
     tempered = entropy(p, EntropyParams(sigma, lam))
-    untempered = entropy(p, EntropyParams(sigma, 0.0))
-    return AxiomReport(
-        axiom=Axiom.LAMBDA_INEQUALITY,
-        samples_checked=1,
-        worst_violation=tempered - untempered,
-        threshold=1e-12,
-        witness={"p": p, "sigma": sigma, "lam": lam},
-    )
+    worst = tempered - entropy(p, EntropyParams(sigma, 0.0))
+    witness = {"p": p, "sigma": sigma, "lam": lam}
+    return AxiomReport(Axiom.LAMBDA_INEQUALITY, 1, worst, witness)
 
 
 def check_power_subadditivity(x: float, y: float, alpha: float) -> AxiomReport:
@@ -216,11 +209,7 @@ def check_power_subadditivity(x: float, y: float, alpha: float) -> AxiomReport:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     worst = (x + y) ** alpha - (x**alpha + y**alpha)
     return AxiomReport(
-        axiom=Axiom.POWER_SUBADDITIVITY,
-        samples_checked=1,
-        worst_violation=worst,
-        threshold=1e-12,
-        witness={"x": x, "y": y, "alpha": alpha},
+        Axiom.POWER_SUBADDITIVITY, 1, worst, {"x": x, "y": y, "alpha": alpha}
     )
 
 

@@ -7,9 +7,10 @@ Subcommands:
   search        adversarial high-ratio pair search, CSV
   verify-frac   numeric vs. closed-form fractional derivative grid, CSV
 
-All numeric output is formatted with '%.8g'; CSV is UTF-8 with LF line
-endings.  Exit codes: 0 success, 1 a check failed (violation above
-threshold or tolerance miss), 2 invalid arguments or domain errors.
+Every data line is one `_row`: a string cell as given, an integer in
+full, any other number '%.8g'.  CSV is UTF-8 with LF line endings.  Exit
+codes: 0 success, 1 a check failed (violation above threshold or
+tolerance miss), 2 invalid arguments or domain errors.
 Every subcommand is deterministic for a fixed argv (seeded RNG only).
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import sys
 from typing import Optional
 
@@ -43,8 +45,21 @@ _USER_ERRORS = (
 )
 
 
-def _fmt(x) -> str:
+def _cell(x) -> str:
+    """A string as given, an integer in full, anything else '%.8g'.
+
+    numbers.Integral rather than int, so a numpy integer prints in full too.
+    """
+    if isinstance(x, str):
+        return x
+    if isinstance(x, numbers.Integral):
+        return str(x)
     return format(float(x), ".8g")
+
+
+def _row(*cells) -> str:
+    """One output line: the cells, each written by _cell, joined by commas."""
+    return ",".join(map(_cell, cells))
 
 
 def _emit(lines: list[str], path: Optional[str] = None) -> None:
@@ -180,7 +195,7 @@ def _params(args: argparse.Namespace) -> EntropyParams:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     value = entropy(make_dist(args.dist), _params(args))
-    _emit([_fmt(value)])
+    _emit([_row(value)])
     return 0
 
 
@@ -189,21 +204,11 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     lines = ["axiom,config,samples,worst_violation,pass"]
     failed = False
     for n in args.n:
-        config = f"n={n};sigma={_fmt(params.sigma)};lambda={_fmt(params.lam)}"
+        config = f"n={n};sigma={_cell(params.sigma)};lambda={_cell(params.lam)}"
         for rep in ax.run_axiom_suite(n, params, samples=args.samples, seed=args.seed):
-            ok = rep.passed
-            failed = failed or not ok
-            lines.append(
-                ",".join(
-                    [
-                        rep.axiom.value,
-                        config,
-                        str(rep.samples_checked),
-                        _fmt(rep.worst_violation),
-                        "true" if ok else "false",
-                    ]
-                )
-            )
+            failed = failed or not rep.passed
+            cells = (rep.axiom.value, config, rep.samples_checked, rep.worst_violation)
+            lines.append(_row(*cells, "true" if rep.passed else "false"))
     _emit(lines, args.out)
     return 1 if failed else 0
 
@@ -211,19 +216,8 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
 _SWEEP_HEADER = "family,n,delta,sigma,lambda,s_p,s_p_prime,ratio"
 
 
-def _record_row(rec) -> str:
-    return ",".join(
-        [
-            rec.family,
-            str(rec.n),
-            _fmt(rec.delta),
-            _fmt(rec.sigma),
-            _fmt(rec.lam),
-            _fmt(rec.s_p),
-            _fmt(rec.s_p_prime),
-            _fmt(rec.ratio),
-        ]
-    )
+def _record_row(r) -> str:
+    return _row(r.family, r.n, r.delta, r.sigma, r.lam, r.s_p, r.s_p_prime, r.ratio)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -269,19 +263,7 @@ def _cmd_verify_frac(args: argparse.Namespace) -> int:
                 rel = abs(num - ref) / abs(ref)
                 if abs(num - ref) > max(args.tol * abs(ref), abs_floor):
                     worst_miss = True
-                lines.append(
-                    ",".join(
-                        [
-                            _fmt(p),
-                            _fmt(sigma),
-                            _fmt(lam),
-                            _fmt(_VF_T),
-                            _fmt(num),
-                            _fmt(ref),
-                            _fmt(rel),
-                        ]
-                    )
-                )
+                lines.append(_row(p, sigma, lam, _VF_T, num, ref, rel))
     _emit(lines, args.out)
     return 1 if worst_miss else 0
 

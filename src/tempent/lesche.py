@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,9 @@ def _family_pair(family: Family, n: int, delta: float) -> PerturbPair:
     """The explicit pair of a structured family, certified by PerturbPair."""
     if not (0.0 < delta <= 1.0):
         raise DomainError(f"family {family.value} needs delta in (0, 1], got {delta!r}")
+    # the aggregated path takes any n in the float range; a numpy vector cannot
+    if n > sys.maxsize:
+        raise DomainError(f"family {family.value} vector needs n <= sys.maxsize")
     sides = []
     for head, tail in _family_weights(family, n, delta):
         w = np.full(n, tail)
@@ -313,8 +317,8 @@ def random_pair_search(
     certified by PerturbPair and its entropies and ratio are evaluated
     exactly.
     """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    if not isinstance(n, numbers.Integral) or not 2 <= n <= sys.maxsize:
+        raise DomainError(f"n must be an integer >= 2 and <= sys.maxsize, got {n!r}")
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
     if not isinstance(iterations, numbers.Integral) or iterations < 0:

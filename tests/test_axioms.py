@@ -1,6 +1,8 @@
 import collections
+import dataclasses
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tempent import (
     Axiom,
+    AxiomReport,
     DimensionMismatch,
     DomainError,
     EntropyParams,
@@ -72,6 +75,12 @@ class TestSampling:
     @pytest.mark.parametrize("n,count", [(3, 1.5), (3, 5.0), (2.5, 5), (math.nan, 5)])
     def test_non_integer_size_rejected(self, n, count):
         with pytest.raises(DomainError, match="need integers n, count >= 1"):
+            sample_simplex(n, count, seed=0)
+
+    # no numpy axis is longer than sys.maxsize
+    @pytest.mark.parametrize("n,count", [(3, sys.maxsize + 1), (sys.maxsize + 1, 5)])
+    def test_size_beyond_maxsize_rejected(self, n, count):
+        with pytest.raises(DomainError, match="<= sys.maxsize"):
             sample_simplex(n, count, seed=0)
 
 
@@ -365,6 +374,18 @@ class TestSuite:
             seen.append(dict(counts))
         assert seen[0] == seen[1] == {"entropy": 135, "make_dist": 134}
 
+    @pytest.mark.parametrize(
+        "n,samples",
+        [
+            (3, sys.maxsize + 1),
+            (sys.maxsize + 1, 5),
+            pytest.param(10**400, 5, id="10**400"),
+        ],
+    )
+    def test_size_beyond_maxsize_rejected(self, n, samples):
+        with pytest.raises(DomainError, match="<= sys.maxsize"):
+            run_axiom_suite(n, EntropyParams(0.5), samples=samples)
+
     def test_runs_all_axioms_in_order(self):
         reps = run_axiom_suite(4, EntropyParams(0.5, 1.0), samples=500, seed=0)
         assert [r.axiom for r in reps] == list(Axiom)
@@ -386,3 +407,17 @@ class TestSuite:
             w[j] += 5e-9
             q = make_dist(w)
             assert abs(entropy(p, params) - entropy(q, params)) <= 1e-3
+
+
+class TestThresholds:
+    # each axiom's pass threshold is written once, in axioms._THRESHOLDS
+    def test_one_threshold_per_axiom(self):
+        assert list(axioms._THRESHOLDS) == list(Axiom)
+        for axiom, threshold in axioms._THRESHOLDS.items():
+            assert AxiomReport(axiom, 1, threshold).passed
+            assert not AxiomReport(axiom, 1, math.nextafter(threshold, 1.0)).passed
+
+    def test_report_carries_no_threshold_of_its_own(self):
+        assert "threshold" not in {f.name for f in dataclasses.fields(AxiomReport)}
+        rep = AxiomReport(Axiom.MAXIMALITY, 1, 0.0)
+        assert rep.threshold == axioms._THRESHOLDS[Axiom.MAXIMALITY]

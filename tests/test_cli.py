@@ -1,6 +1,13 @@
+import sys
+
+import numpy as np
 import pytest
 
+import tempent.cli as cli
 from tempent.cli import run
+
+# one past the longest axis numpy can index
+BEYOND_MAXSIZE = str(sys.maxsize + 1)
 
 
 def lines_of(path):
@@ -76,6 +83,15 @@ class TestCheckAxiomsCommand:
         argv = ["check-axioms", "--sigma", "0.5", "--n", "3", "--samples", "10"]
         assert run(argv + ["--seed", "-1"]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n,samples", [("3", BEYOND_MAXSIZE), (BEYOND_MAXSIZE, "5")])
+    def test_size_beyond_maxsize_exits_2(self, capsys, n, samples):
+        argv = ["check-axioms", "--sigma", "0.5", "--n", n, "--samples", samples]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "sys.maxsize" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestSweepCommand:
@@ -180,6 +196,11 @@ class TestSweepCommand:
         assert run(argv + ["--n", "10.7"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_large_n_printed_in_full(self, capsys):
+        argv = ["sweep", "--family", "A", "--sigma", "0.5", "--delta", "0.1"]
+        assert run(argv + ["--n", "100000000"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("A,100000000,0.1,")
+
     def test_n_beyond_float_range_exits_2(self, capsys):
         argv = ["sweep", "--family", "A", "--sigma", "0.5", "--delta", "0.1"]
         assert run(argv + ["--n", "1" + "0" * 400]) == 2
@@ -229,6 +250,14 @@ class TestSearchCommand:
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
 
+    def test_n_beyond_maxsize_exits_2(self, capsys):
+        argv = ["search", "--sigma", "1", "--delta", "0.1", "--n", BEYOND_MAXSIZE]
+        assert run(argv + ["--samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "sys.maxsize" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestVerifyFracCommand:
     def test_default_grid_passes(self, tmp_path):
@@ -262,3 +291,11 @@ class TestVerifyFracCommand:
         # with tol = inf the allowance max(tol * |ref|, ...) admits any miss
         assert run(["verify-frac", "--tol", "inf"]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestRowRule:
+    # every CSV line is one cli._row: a string as given, an integer in full,
+    # anything else %.8g
+    def test_cells(self):
+        cells = ("A_renyi", 10**8, np.int64(10**8), 0.1, np.float64(1 / 3), 2.0)
+        assert cli._row(*cells) == "A_renyi,100000000,100000000,0.1,0.33333333,2"

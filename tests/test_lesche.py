@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import time
 
 import numpy as np
@@ -22,7 +23,7 @@ from tempent import (
     sweep,
 )
 import tempent.lesche
-from tempent.lesche import RESYNC_STEPS, _family_entropies
+from tempent.lesche import RESYNC_STEPS, _family_entropies, _family_renyi
 
 # frozen reference values, mpmath at 50 significant digits
 RATIO_A_N2 = 0.28639695711595613     # family A, n=2, delta=0.1, sigma=1, lam=0
@@ -91,6 +92,15 @@ class TestFamilyB:
     def test_non_integer_n_rejected(self, n):
         with pytest.raises(DomainError, match="needs integer n >= 3"):
             family_b_pair(n, 0.1)
+
+    # an explicit vector needs an n numpy can index; 10**400 overflowed a float
+    @pytest.mark.parametrize("ctor", [family_a_pair, family_b_pair])
+    @pytest.mark.parametrize(
+        "n", [sys.maxsize + 1, pytest.param(10**400, id="10**400")]
+    )
+    def test_n_beyond_maxsize_rejected(self, ctor, n):
+        with pytest.raises(DomainError, match="needs n <= sys.maxsize"):
+            ctor(n, 0.1)
 
 
 class TestPerturbPair:
@@ -221,6 +231,24 @@ class TestAggregatedPath:
             assert abs(s_agg - entropy(pair.p, params)) <= 1e-12
             assert abs(spp_agg - entropy(pair.p_prime, params)) <= 1e-12
 
+    @pytest.mark.parametrize("q", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("n", [3, 10, 1000, 100_000])
+    def test_renyi_matches_vector_path(self, n, q):
+        # the control rows' aggregated Renyi values against renyi_entropy on
+        # the explicit vectors, within 8 eps relative (absolute below 1); the
+        # worst case measured is 5.05 eps, at n = 1000, delta = 1, q = 2, p'
+        bound = 8 * sys.float_info.epsilon
+        for fam, ctor in (
+            (Family.CERTAINTY_A, family_a_pair),
+            (Family.UNIFORM_B, family_b_pair),
+        ):
+            for delta in (1e-3, 0.1, 1.0):
+                pair = ctor(n, delta)
+                agg = _family_renyi(fam, n, delta, q)
+                for got, p in zip(agg, (pair.p, pair.p_prime)):
+                    ref = renyi_entropy(p, q)
+                    assert abs(got - ref) <= bound * max(1.0, abs(ref))
+
 
 class TestSweep:
     def test_row_order_and_count(self):
@@ -296,6 +324,12 @@ class TestSweep:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             sweep(["C"], [100], 1e-3, EntropyParams(0.5))
+
+    def test_n_beyond_maxsize_stays_aggregated(self):
+        # only explicit vectors are bounded by sys.maxsize, not sweep rows
+        rows = sweep(["A", "B"], [sys.maxsize + 1], 0.1, EntropyParams(0.5))
+        assert [r.n for r in rows] == [sys.maxsize + 1] * 2
+        assert all(0.0 < r.ratio < 1.0 for r in rows)
 
     def test_random_search_has_no_aggregated_form(self):
         with pytest.raises(DomainError):
@@ -430,3 +464,14 @@ class TestRandomPairSearch:
     def test_non_integer_iterations_rejected(self, iterations):
         with pytest.raises(DomainError, match="iterations must be an integer >= 0"):
             random_pair_search(3, 0.1, EntropyParams(0.5), iterations=iterations)
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, math.nan])
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_non_integer_n_rejected(self, n, delta):
+        with pytest.raises(DomainError, match="n must be an integer >= 2"):
+            random_pair_search(n, delta, EntropyParams(0.5), iterations=5)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_n_beyond_maxsize_rejected(self, delta):
+        with pytest.raises(DomainError, match="<= sys.maxsize"):
+            random_pair_search(sys.maxsize + 1, delta, EntropyParams(0.5), iterations=5)
