@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -89,14 +88,10 @@ def sample_simplex(n: int, count: int, seed: int) -> list[ProbDist]:
 
 
 def _sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
-    # normalized standard exponentials == Dirichlet(1, ..., 1); no numpy axis
-    # is longer than sys.maxsize
-    ok = (isinstance(k, numbers.Integral) and 1 <= k <= sys.maxsize for k in (n, count))
-    if not all(ok):
-        raise DomainError(
-            "need integers n, count >= 1 and <= sys.maxsize,"
-            f" got n={n!r}, count={count!r}"
-        )
+    # normalized standard exponentials == Dirichlet(1, ..., 1)
+    if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (n, count)):
+        raise DomainError(f"need integers n, count >= 1, got n={n!r}, count={count!r}")
+    core._check_fits("the sample matrix", count=count, n=n)
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)

@@ -27,6 +27,8 @@ evaluating S at many (sigma, lam) pairs pays for the logarithm once.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,6 +75,20 @@ class EntropyParams:
             raise DomainError(f"sigma must lie in (0, 1], got {self.sigma!r}")
         if not (self.lam >= 0.0) or not math.isfinite(self.lam):
             raise DomainError(f"lam must be finite and >= 0, got {self.lam!r}")
+
+
+def _check_fits(owner: str, **dims: int) -> None:
+    """Raise DomainError unless a float64 array of shape dims fits numpy.
+
+    numpy holds at most sys.maxsize bytes, so the product of the dims,
+    named in order by the keywords, must be <= sys.maxsize // 8.  Integer
+    dims multiply as Python ints, so a numpy integer cannot wrap.
+    """
+    ints = (int(d) if isinstance(d, numbers.Integral) else d for d in dims.values())
+    if 8 * math.prod(ints) > sys.maxsize:
+        got = ", ".join(f"{k}={v!r}" for k, v in dims.items())
+        limit = f"{' * '.join(dims)} <= sys.maxsize // 8"
+        raise DomainError(f"{owner} needs {limit}, got {got}")
 
 
 def _check_rows(w: np.ndarray) -> None:

@@ -27,11 +27,11 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     DimensionMismatch,
     DomainError,
@@ -46,18 +46,12 @@ from .core import (
 # measured L1 must certify against the declared budget this tightly
 L1_TOL = 1e-12
 
-# The climb admits a move while its running L1 stays within delta plus this
-# margin.  The running sum drifts from the exact L1 by rounding, so the margin
-# sits well inside L1_TOL: a pair the climb admits must never be one that
-# PerturbPair then rejects at L1_TOL.
+# The climb admits a move while the exact L1 of its current pair, plus the
+# two L1 terms the move changes, stays within delta plus this margin.  That
+# sum carries one step's rounding (a few ulp of values <= 2), far inside
+# L1_TOL: a pair the climb admits must never be one that PerturbPair then
+# rejects at L1_TOL.
 _CLIMB_L1_GUARD = L1_TOL / 10
-
-# random_pair_search recomputes its running S(w), S(w') and L1 exactly every
-# this many steps.  An accepted move adds at most ~1.1e-15 of rounding to the
-# running L1 (values <= 2), so 256 moves drift < 3e-13, inside the 9e-13
-# between _CLIMB_L1_GUARD and L1_TOL.  A resync costs two O(n) entropies,
-# spread over 256 O(1) steps.
-RESYNC_STEPS = 256
 
 
 class Family(enum.Enum):
@@ -137,8 +131,7 @@ def _family_pair(family: Family, n: int, delta: float) -> PerturbPair:
     if not (0.0 < delta <= 1.0):
         raise DomainError(f"family {family.value} needs delta in (0, 1], got {delta!r}")
     # the aggregated path takes any n in the float range; a numpy vector cannot
-    if n > sys.maxsize:
-        raise DomainError(f"family {family.value} vector needs n <= sys.maxsize")
+    core._check_fits(f"family {family.value} vector", n=n)
     sides = []
     for head, tail in _family_weights(family, n, delta):
         w = np.full(n, tail)
@@ -308,17 +301,19 @@ def random_pair_search(
     structured family pairs are seeded as starting candidates, so the
     returned ratio is never below theirs.
 
-    A step costs O(1) in n: a move changes two weights on one side, so
-    S(w), S(w') and the L1 distance are kept as running sums updated from
-    the changed generator terms, and an accepted move is applied in place.
-    Every RESYNC_STEPS steps all three are recomputed exactly.  Each step
-    draws one side, then one index pair, from the seeded stream, so a
-    given seed always gives the same climb.  The returned pair is
-    certified by PerturbPair and its entropies and ratio are evaluated
-    exactly.
+    The current pair is always evaluated exactly: ProbDists, S(w), S(w'),
+    ratio and L1.  A move changes two weights on one side, so a step tests
+    it in O(1) from the two changed generator terms and the two changed L1
+    terms; a rejected step costs only that.  An accepted move writes the
+    two weights and re-evaluates the pair, which costs O(n): two make_dist
+    and two entropy calls.  Each step draws one side, then one index pair,
+    from the seeded stream, so a given seed always gives the same climb.
+    The returned pair is certified by PerturbPair, and its record is that
+    exact state.
     """
-    if not isinstance(n, numbers.Integral) or not 2 <= n <= sys.maxsize:
-        raise DomainError(f"n must be an integer >= 2 and <= sys.maxsize, got {n!r}")
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise DomainError(f"n must be an integer >= 2, got {n!r}")
+    core._check_fits("random_pair_search", n=n)
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
     if not isinstance(iterations, numbers.Integral) or iterations < 0:
@@ -328,33 +323,35 @@ def random_pair_search(
     rng = np.random.default_rng(seed)
     smax = max_entropy(n, params)
 
-    def entropies(w: np.ndarray, wp: np.ndarray) -> tuple[float, float]:
-        return entropy(make_dist(w), params), entropy(make_dist(wp), params)
+    def evaluate(w: np.ndarray, wp: np.ndarray):
+        """(w, w') exactly: (ProbDists, [S(w), S(w')], ratio, L1)."""
+        dists = make_dist(w), make_dist(wp)
+        s = [entropy(d, params) for d in dists]
+        return dists, s, abs(s[0] - s[1]) / smax, float(np.abs(w - wp).sum())
 
-    # candidate starts: structured families plus a random interior pair
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
-    if delta > 0.0:
-        for fam, min_n in _FAMILY_MIN_N.items():
-            if n >= min_n:
-                pair = _family_pair(fam, n, delta)
-                starts.append((pair.p.weights.copy(), pair.p_prime.weights.copy()))
-    base = rng.standard_exponential(n)
-    base /= base.sum()
-    starts.append((base.copy(), base.copy()))
+    def starts():
+        """Candidate starts: structured families, then a random interior pair."""
+        if delta > 0.0:
+            for fam, min_n in _FAMILY_MIN_N.items():
+                if n >= min_n:
+                    pair = _family_pair(fam, n, delta)
+                    yield pair.p.weights.copy(), pair.p_prime.weights.copy()
+        base = rng.standard_exponential(n)
+        base /= base.sum()
+        yield base, base.copy()
 
-    cur_ratio = -math.inf
-    for w, wp in starts:
-        s = entropies(w, wp)
-        r = abs(s[0] - s[1]) / smax
-        if r > cur_ratio:
-            cur_w, cur_wp, cur_s, cur_ratio = w, wp, list(s), r
-    l1 = float(np.abs(cur_w - cur_wp).sum())
+    # the first start with the highest ratio; the generators hold one
+    # candidate's ProbDists beside the best's at a time
+    cur_w, cur_wp, (dists, cur_s, cur_ratio, l1) = max(
+        ((w, wp, evaluate(w, wp)) for w, wp in starts()),
+        key=lambda start: start[2][2],  # its ratio
+    )
 
     # only improving moves are accepted, so the current pair is the best
     eps = delta / 10.0
     stall_limit = max(1, iterations // 5)
     stall = 0
-    for step in range(1, iterations + 1):
+    for _ in range(iterations):
         # move mass within one side of the pair, keeping the other fixed
         side = int(rng.integers(0, 2))
         target, other = (cur_wp, cur_w) if side else (cur_w, cur_wp)
@@ -367,27 +364,19 @@ def random_pair_search(
         new_l1 = (
             l1 + (abs(a_new - oa) - abs(a - oa)) + (abs(b_new - ob) - abs(b - ob))
         )
-        improved = False
+        stall += 1
         if new_l1 <= delta + _CLIMB_L1_GUARD:
             s_new = cur_s[side] + (
                 (generator(a_new, params) - generator(a, params))
                 + (generator(b_new, params) - generator(b, params))
             )
-            r = abs(s_new - cur_s[1 - side]) / smax
-            if r > cur_ratio:
+            if abs(s_new - cur_s[1 - side]) / smax > cur_ratio:
                 target[i], target[j] = a_new, b_new
-                cur_s[side], cur_ratio, l1 = s_new, r, new_l1
-                improved = True
-        stall = 0 if improved else stall + 1
+                dists, cur_s, cur_ratio, l1 = evaluate(cur_w, cur_wp)
+                stall = 0
         if stall >= stall_limit:
             eps *= 0.5
             stall = 0
-        if step % RESYNC_STEPS == 0:
-            cur_s = list(entropies(cur_w, cur_wp))
-            cur_ratio = abs(cur_s[0] - cur_s[1]) / smax
-            l1 = float(np.abs(cur_w - cur_wp).sum())
 
-    pair = PerturbPair(
-        make_dist(cur_w), make_dist(cur_wp), delta, Family.RANDOM_SEARCH
-    )
-    return pair, stability_ratio(pair, params)
+    rec = _record(Family.RANDOM_SEARCH.value, n, delta, params, *cur_s, smax)
+    return PerturbPair(*dists, delta, Family.RANDOM_SEARCH), rec

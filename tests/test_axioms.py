@@ -83,6 +83,14 @@ class TestSampling:
         with pytest.raises(DomainError, match="<= sys.maxsize"):
             sample_simplex(n, count, seed=0)
 
+    # each size fits sys.maxsize, but not the matrix's 8 * n * count bytes
+    @pytest.mark.parametrize(
+        "n,count", [(2**62, 5), (3, 2**62), (sys.maxsize // 8 + 1, 1)]
+    )
+    def test_matrix_beyond_numpy_limit_rejected(self, n, count):
+        with pytest.raises(DomainError, match=r"needs count \* n <= sys.maxsize // 8"):
+            sample_simplex(n, count, seed=0)
+
 
 class TestMaximality:
     @pytest.mark.parametrize("params", PARAM_GRID)
@@ -384,6 +392,11 @@ class TestSuite:
     )
     def test_size_beyond_maxsize_rejected(self, n, samples):
         with pytest.raises(DomainError, match="<= sys.maxsize"):
+            run_axiom_suite(n, EntropyParams(0.5), samples=samples)
+
+    @pytest.mark.parametrize("n,samples", [(2**62, 5), (3, 2**62)])
+    def test_matrix_beyond_numpy_limit_rejected(self, n, samples):
+        with pytest.raises(DomainError, match="<= sys.maxsize // 8"):
             run_axiom_suite(n, EntropyParams(0.5), samples=samples)
 
     def test_runs_all_axioms_in_order(self):

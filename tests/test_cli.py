@@ -93,6 +93,16 @@ class TestCheckAxiomsCommand:
         assert captured.err.startswith("error:") and "sys.maxsize" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    # each size fits sys.maxsize, but not the sample matrix's bytes
+    @pytest.mark.parametrize("n,samples", [(str(2**62), "5"), ("3", str(2**62))])
+    def test_matrix_beyond_numpy_limit_exits_2(self, capsys, n, samples):
+        argv = ["check-axioms", "--sigma", "0.5", "--n", n, "--samples", samples]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "sys.maxsize // 8" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestSweepCommand:
     def test_rows_and_header(self, capsys):
@@ -256,6 +266,16 @@ class TestSearchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "sys.maxsize" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    # n fits sys.maxsize, but not the 8 * n bytes of its vector
+    @pytest.mark.parametrize("n,delta", [(str(2**62), "0"), (str(2**60), "0.1")])
+    def test_vector_beyond_numpy_limit_exits_2(self, capsys, n, delta):
+        argv = ["search", "--sigma", "0.5", "--delta", delta, "--n", n, "--samples", "5"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "sys.maxsize // 8" in captured.err
         assert len(captured.err.splitlines()) == 1
 
 

@@ -104,6 +104,25 @@ class TestMakeDist:
             make_dist([np.nextafter(1, 2), 0, 0])
 
 
+class TestCheckFits:
+    """core._check_fits: a float64 array may hold at most sys.maxsize bytes."""
+
+    def test_limit_is_maxsize_bytes(self):
+        core._check_fits("x", n=sys.maxsize // 8)
+        core._check_fits("x", count=3, n=sys.maxsize // 24)
+        with pytest.raises(DomainError, match=r"^x needs n <= sys.maxsize // 8, got n="):
+            core._check_fits("x", n=sys.maxsize // 8 + 1)
+        with pytest.raises(DomainError, match=r"^x needs count \* n <= sys.maxsize // 8"):
+            core._check_fits("x", count=3, n=sys.maxsize // 24 + 1)
+
+    def test_numpy_integers_do_not_wrap(self):
+        # 8 * 2**62 wraps to 0 in int64
+        with pytest.raises(DomainError, match="sys.maxsize // 8"):
+            core._check_fits("x", n=np.int64(2**62))
+        with pytest.raises(DomainError, match="sys.maxsize // 8"):
+            core._check_fits("x", count=np.int64(4), n=np.int64(2**61))
+
+
 class TestCheckRows:
     """core._check_rows: ProbDist's checks along the last axis of a matrix."""
 

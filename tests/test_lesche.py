@@ -23,7 +23,7 @@ from tempent import (
     sweep,
 )
 import tempent.lesche
-from tempent.lesche import RESYNC_STEPS, _family_entropies, _family_renyi
+from tempent.lesche import L1_TOL, _family_entropies, _family_renyi
 
 # frozen reference values, mpmath at 50 significant digits
 RATIO_A_N2 = 0.28639695711595613     # family A, n=2, delta=0.1, sigma=1, lam=0
@@ -101,6 +101,11 @@ class TestFamilyB:
     def test_n_beyond_maxsize_rejected(self, ctor, n):
         with pytest.raises(DomainError, match="needs n <= sys.maxsize"):
             ctor(n, 0.1)
+
+    @pytest.mark.parametrize("ctor", [family_a_pair, family_b_pair])
+    def test_vector_beyond_numpy_limit_rejected(self, ctor):
+        with pytest.raises(DomainError, match=r"vector needs n <= sys.maxsize // 8"):
+            ctor(2**60, 0.1)
 
 
 class TestPerturbPair:
@@ -385,6 +390,27 @@ CLIMB_GOLDEN = [
 ]
 
 
+# With no structured start the climb begins at the random pair p = p' and
+# accepts moves (236 of them in the n = 1e4 case, and 10 to 31 in the
+# others).  float.hex of (s_p, s_p_prime, ratio) and a sha256 of both weight
+# vectors, recorded from the climb that kept running sums of S and L1 and
+# re-evaluated them exactly every 256 steps
+FORCED_GOLDEN = [
+    ((10_000, 0.5, 1.0, 0.1, 0, 500), "0x1.0f9d7bdc07368p+1", "0x1.10119974ecab9p+1",
+     "0x1.a7216d21c7aaep-10",
+     "99705c91149451c1175ab7e3815d8cfd5491d5ef63ef4b9fd1a77323c6ff6611"),
+    ((5, 0.5, 0.0, 0.2, 3, 800), "0x1.1c39c0e4705dep+0", "0x1.f3ccefcbf427cp-1",
+     "0x1.b0e8f60d036c4p-4",
+     "af02079e737f7c64d3e7be2b3e6fa5dfe45987a3fce922fe2d4a2c7881052610"),
+    ((20, 0.25, 2.0, 0.5, 7, 2000), "0x1.b7d1c26b72fc0p-3", "0x1.22b9c3cbcd6c4p-2",
+     "0x1.cf1e39bbe1f33p-3",
+     "fc891e6e013ec81b69208e2b0fa04cf2591b336402960b1880f2eb889a994cfc"),
+    ((200, 0.75, 0.5, 0.05, 1, 1500), "0x1.74775c8bc114cp+1", "0x1.7858ba0a40b46p+1",
+     "0x1.3c284dd9017dep-7",
+     "ea711b2d29d04bba192ab4ec2a7ae34cda2d0dd8c6898879676144b414a75ba7"),
+]
+
+
 class TestRandomPairSearch:
     @pytest.mark.parametrize("case,s_p,s_pp,ratio,digest", CLIMB_GOLDEN)
     def test_golden_trajectory(self, case, s_p, s_pp, ratio, digest):
@@ -399,7 +425,8 @@ class TestRandomPairSearch:
         assert h.hexdigest() == digest
 
     def test_steps_make_no_full_evaluations(self, monkeypatch):
-        # only the periodic resyncs may evaluate whole distributions
+        # only the starts and accepted moves evaluate whole distributions,
+        # and no move is accepted from this start
         calls = {"entropy": 0, "make_dist": 0}
 
         def counted(name, fn):
@@ -413,11 +440,30 @@ class TestRandomPairSearch:
         params = EntropyParams(0.5, 1.0)
         random_pair_search(50, 0.1, params, iterations=0, seed=2)
         base = dict(calls)
+        assert base["entropy"] > 0 and base["make_dist"] > 0
         random_pair_search(50, 0.1, params, iterations=3000, seed=2)
-        resyncs = 3000 // RESYNC_STEPS
-        assert resyncs > 0
-        assert calls["entropy"] - 2 * base["entropy"] == 2 * resyncs
-        assert calls["make_dist"] - 2 * base["make_dist"] == 2 * resyncs
+        assert calls == {k: 2 * v for k, v in base.items()}
+
+    @pytest.mark.parametrize(
+        "case,s_p,s_pp,ratio,digest", FORCED_GOLDEN,
+        ids=[f"n={case[0]}" for case, *_ in FORCED_GOLDEN],
+    )
+    def test_accepted_moves_golden(self, monkeypatch, case, s_p, s_pp, ratio, digest):
+        monkeypatch.setattr(tempent.lesche, "_FAMILY_MIN_N", {})
+        n, sigma, lam, delta, seed, iterations = case
+        params = EntropyParams(sigma, lam)
+        pair, rec = random_pair_search(n, delta, params, iterations=iterations, seed=seed)
+        assert (rec.s_p.hex(), rec.s_p_prime.hex(), rec.ratio.hex()) == (s_p, s_pp, ratio)
+        h = hashlib.sha256()
+        h.update(pair.p.weights.astype("<f8").tobytes())
+        h.update(pair.p_prime.weights.astype("<f8").tobytes())
+        assert h.hexdigest() == digest
+        # the start has ratio 0, so a positive ratio means accepted moves
+        assert rec.ratio > 0.0
+        assert pair.family is Family.RANDOM_SEARCH
+        assert pair.l1_distance() <= delta + L1_TOL
+        assert rec.s_p == entropy(pair.p, params)
+        assert rec.s_p_prime == entropy(pair.p_prime, params)
 
     def test_deterministic(self):
         a = random_pair_search(3, 0.1, EntropyParams(1.0), iterations=1500, seed=7)
@@ -475,3 +521,12 @@ class TestRandomPairSearch:
     def test_n_beyond_maxsize_rejected(self, delta):
         with pytest.raises(DomainError, match="<= sys.maxsize"):
             random_pair_search(sys.maxsize + 1, delta, EntropyParams(0.5), iterations=5)
+
+    # n fits sys.maxsize, but not the 8 * n bytes of its vector; 2**60 is
+    # the smallest such n
+    @pytest.mark.parametrize(
+        "n,delta", [(2**62, 0.0), (2**60, 0.1), (np.int64(2**62), 0.0)]
+    )
+    def test_vector_beyond_numpy_limit_rejected(self, n, delta):
+        with pytest.raises(DomainError, match=r"needs n <= sys.maxsize // 8"):
+            random_pair_search(n, delta, EntropyParams(0.5), iterations=5)
