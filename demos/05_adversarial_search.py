@@ -1,8 +1,9 @@
 """Hunt for perturbation pairs worse than the structured families.
 
 The structured families probe the simplex corners by construction; the
-hill climb starts from them plus a random interior pair and moves mass
-in steps of delta/10 inside the L1 ball, cooling the step size when
+hill climb starts from the first of them with the highest ratio (from a
+random pair p = p' only at delta = 0, where no family applies) and moves
+mass in steps of delta/10 inside the L1 ball, cooling the step size when
 progress stalls.  Whatever it returns is certified: the pair re-measures
 its own L1 distance on construction.
 """

@@ -205,27 +205,21 @@ def renyi_entropy(p: ProbDist, q: float) -> float:
     return _renyi(float(np.sum(w[w > 0.0] ** q)), q)
 
 
+def _family_sums(family: Family, n: int, delta: float, term) -> tuple[float, float]:
+    """(sum_i term(p_i), sum_i term(p'_i)) in O(1): term(head) + (n-1) * term(tail)."""
+    return tuple(term(h) + (n - 1) * term(t) for h, t in _family_weights(family, n, delta))
+
+
 def _family_entropies(
     family: Family, n: int, delta: float, params: EntropyParams
 ) -> tuple[float, float]:
-    """(S(p), S(p')) for a structured family via head + aggregated tail.
-
-    Each distribution is one head weight plus n-1 equal tail weights, so
-    the sum collapses to head_term + (n-1) * tail_term: O(1) in n.
-    delta = 0 is allowed here and gives S(p') identical to S(p).
-    """
-    return tuple(
-        generator(head, params) + (n - 1) * generator(tail, params)
-        for head, tail in _family_weights(family, n, delta)
-    )
+    """(S(p), S(p')) for a structured family; delta = 0 gives S(p') == S(p)."""
+    return _family_sums(family, n, delta, lambda x: generator(x, params))
 
 
 def _family_renyi(family: Family, n: int, delta: float, q: float) -> tuple[float, float]:
     """(R(p), R(p')) for a structured family, aggregated the same way."""
-    return tuple(
-        _renyi(head**q + (n - 1) * tail**q, q)
-        for head, tail in _family_weights(family, n, delta)
-    )
+    return tuple(_renyi(s, q) for s in _family_sums(family, n, delta, lambda x: x**q))
 
 
 def sweep(
@@ -277,8 +271,7 @@ def sweep(
             records.append(
                 _record(fam.value, n, delta, params, *s, max_entropy(n, params))
             )
-        if control_q is not None:
-            for n in ns:
+            if control_q is not None:
                 r = _family_renyi(fam, n, delta, control_q)
                 records.append(
                     _record(f"{fam.value}_renyi", n, delta, params, *r, math.log(n))
@@ -297,19 +290,18 @@ def random_pair_search(
     """Adversarial search for a high-ratio pair inside the L1 ball.
 
     Hill climb over mass-transfer moves of size eps = delta/10, cooled by
-    half after iterations//5 consecutive non-improving steps.  The
-    structured family pairs are seeded as starting candidates, so the
-    returned ratio is never below theirs.
+    half after iterations//5 consecutive non-improving steps.  It starts
+    from the first structured family with the highest ratio, so the result
+    is never below theirs.  Only where no family applies (delta = 0) does
+    it start from a seeded random pair p = p'; that pair is drawn for every
+    delta, so a seed's steps read the same stretch of the stream.
 
-    The current pair is always evaluated exactly: ProbDists, S(w), S(w'),
-    ratio and L1.  A move changes two weights on one side, so a step tests
-    it in O(1) from the two changed generator terms and the two changed L1
-    terms; a rejected step costs only that.  An accepted move writes the
-    two weights and re-evaluates the pair, which costs O(n): two make_dist
-    and two entropy calls.  Each step draws one side, then one index pair,
-    from the seeded stream, so a given seed always gives the same climb.
-    The returned pair is certified by PerturbPair, and its record is that
-    exact state.
+    The start and each accepted move are RandomSearch PerturbPairs scored
+    by stability_ratio, at O(n): two make_dist and two entropy calls.  A
+    move changes two weights on one side, so a step tests it in O(1) from
+    the two changed generator terms and L1 terms; a rejected step costs
+    only that.  Each step draws one side, then one index pair, from the
+    seeded stream, so a given seed always gives the same climb.
     """
     if not isinstance(n, numbers.Integral) or n < 2:
         raise DomainError(f"n must be an integer >= 2, got {n!r}")
@@ -323,38 +315,35 @@ def random_pair_search(
     rng = np.random.default_rng(seed)
     smax = max_entropy(n, params)
 
-    def evaluate(w: np.ndarray, wp: np.ndarray):
-        """(w, w') exactly: (ProbDists, [S(w), S(w')], ratio, L1)."""
-        dists = make_dist(w), make_dist(wp)
-        s = [entropy(d, params) for d in dists]
-        return dists, s, abs(s[0] - s[1]) / smax, float(np.abs(w - wp).sum())
+    def scored(p: ProbDist, p_prime: ProbDist):
+        """The certified search pair (p, p') and its record."""
+        pair = PerturbPair(p, p_prime, delta, Family.RANDOM_SEARCH)
+        return pair, stability_ratio(pair, params)
 
-    def starts():
-        """Candidate starts: structured families, then a random interior pair."""
-        if delta > 0.0:
-            for fam, min_n in _FAMILY_MIN_N.items():
-                if n >= min_n:
-                    pair = _family_pair(fam, n, delta)
-                    yield pair.p.weights.copy(), pair.p_prime.weights.copy()
-        base = rng.standard_exponential(n)
-        base /= base.sum()
-        yield base, base.copy()
-
-    # the first start with the highest ratio; the generators hold one
-    # candidate's ProbDists beside the best's at a time
-    cur_w, cur_wp, (dists, cur_s, cur_ratio, l1) = max(
-        ((w, wp, evaluate(w, wp)) for w, wp in starts()),
-        key=lambda start: start[2][2],  # its ratio
+    families = (
+        _family_pair(fam, n, delta)
+        for fam, min_n in _FAMILY_MIN_N.items()
+        if delta > 0.0 and n >= min_n
     )
+    # max keeps the first of equal ratios, holding one family beside the best
+    starts = (scored(f.p, f.p_prime) for f in families)
+    best = max(starts, key=lambda start: start[1].ratio, default=None)
+    base = rng.standard_exponential(n)
+    if best is None:
+        base /= base.sum()
+        best = scored(make_dist(base), make_dist(base))
+    pair, rec = best
+    # writable copies for the climb; pair and rec always hold the best state
+    cur = [pair.p.weights.copy(), pair.p_prime.weights.copy()]
+    l1 = pair.l1_distance()
 
-    # only improving moves are accepted, so the current pair is the best
     eps = delta / 10.0
     stall_limit = max(1, iterations // 5)
     stall = 0
     for _ in range(iterations):
         # move mass within one side of the pair, keeping the other fixed
         side = int(rng.integers(0, 2))
-        target, other = (cur_wp, cur_w) if side else (cur_w, cur_wp)
+        target, other = cur[side], cur[1 - side]
         i, j = rng.choice(n, size=2, replace=False)
         a, b = float(target[i]), float(target[j])
         oa, ob = float(other[i]), float(other[j])
@@ -366,17 +355,18 @@ def random_pair_search(
         )
         stall += 1
         if new_l1 <= delta + _CLIMB_L1_GUARD:
-            s_new = cur_s[side] + (
+            s = rec.s_p, rec.s_p_prime
+            s_new = s[side] + (
                 (generator(a_new, params) - generator(a, params))
                 + (generator(b_new, params) - generator(b, params))
             )
-            if abs(s_new - cur_s[1 - side]) / smax > cur_ratio:
+            if abs(s_new - s[1 - side]) / smax > rec.ratio:
                 target[i], target[j] = a_new, b_new
-                dists, cur_s, cur_ratio, l1 = evaluate(cur_w, cur_wp)
+                pair, rec = scored(*map(make_dist, cur))
+                l1 = pair.l1_distance()
                 stall = 0
         if stall >= stall_limit:
             eps *= 0.5
             stall = 0
 
-    rec = _record(Family.RANDOM_SEARCH.value, n, delta, params, *cur_s, smax)
-    return PerturbPair(*dists, delta, Family.RANDOM_SEARCH), rec
+    return pair, rec

@@ -411,6 +411,36 @@ FORCED_GOLDEN = [
 ]
 
 
+# With family B as the only structured start the climb accepts moves from
+# it.  float.hex of (s_p, s_p_prime, ratio) and a sha256 of both weight
+# vectors, recorded from the climb that scored its starts and accepted moves
+# through its own evaluator rather than stability_ratio
+B_START_GOLDEN = [
+    ((5, 0.2, 0.5, 1.0, 3, 800), "0x1.14090ab3886b4p-1", "0x1.346ae5933fe02p-1",
+     "0x1.a4f9b7525f1fap-4",
+     "6379c821649c3aacea132f8bc1f12044e11267c24bae068ced7a93309de6fa81"),
+    ((50, 0.1, 0.25, 0.0, 1, 1500), "0x1.67eac45999658p+0", "0x1.66efed5fc8a0ep+0",
+     "0x1.64b8039211b2ap-9",
+     "d928bae991a29f0df46391a78e643aa4efffb0f63a465d4525da197303fb87cf"),
+]
+
+
+@pytest.fixture
+def lesche_calls(monkeypatch):
+    """Counts of the make_dist and entropy calls made inside lesche."""
+    calls = {"entropy": 0, "make_dist": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tempent.lesche, "entropy", counted("entropy", entropy))
+    monkeypatch.setattr(tempent.lesche, "make_dist", counted("make_dist", make_dist))
+    return calls
+
+
 class TestRandomPairSearch:
     @pytest.mark.parametrize("case,s_p,s_pp,ratio,digest", CLIMB_GOLDEN)
     def test_golden_trajectory(self, case, s_p, s_pp, ratio, digest):
@@ -464,6 +494,43 @@ class TestRandomPairSearch:
         assert pair.l1_distance() <= delta + L1_TOL
         assert rec.s_p == entropy(pair.p, params)
         assert rec.s_p_prime == entropy(pair.p_prime, params)
+
+    def test_start_is_the_best_family_pair(self, lesche_calls):
+        # each family is built and scored once; the random pair p = p' is
+        # scored only where no family applies, and 0 steps return the start
+        params = EntropyParams(0.5, 1.0)
+        families = family_a_pair(50, 0.1), family_b_pair(50, 0.1)
+        best = max(families, key=lambda pair: stability_ratio(pair, params).ratio)
+        want = stability_ratio(best, params)
+        lesche_calls.update(entropy=0, make_dist=0)
+        pair, rec = random_pair_search(50, 0.1, params, iterations=0, seed=2)
+        assert lesche_calls == {"entropy": 4, "make_dist": 4}
+        assert (rec.s_p, rec.s_p_prime, rec.ratio) == (want.s_p, want.s_p_prime, want.ratio)
+        assert np.array_equal(pair.p.weights, best.p.weights)
+        assert np.array_equal(pair.p_prime.weights, best.p_prime.weights)
+        lesche_calls.update(entropy=0, make_dist=0)
+        _, rec = random_pair_search(50, 0.0, params, iterations=0, seed=2)
+        assert lesche_calls == {"entropy": 2, "make_dist": 2}
+        assert rec.ratio == 0.0
+
+    @pytest.mark.parametrize(
+        "case,s_p,s_pp,ratio,digest", B_START_GOLDEN,
+        ids=[f"n={case[0]}" for case, *_ in B_START_GOLDEN],
+    )
+    def test_accepted_moves_from_family_b(
+        self, monkeypatch, case, s_p, s_pp, ratio, digest
+    ):
+        monkeypatch.setattr(tempent.lesche, "_FAMILY_MIN_N", {Family.UNIFORM_B: 3})
+        n, delta, sigma, lam, seed, iterations = case
+        params = EntropyParams(sigma, lam)
+        pair, rec = random_pair_search(n, delta, params, iterations=iterations, seed=seed)
+        assert (rec.s_p.hex(), rec.s_p_prime.hex(), rec.ratio.hex()) == (s_p, s_pp, ratio)
+        h = hashlib.sha256()
+        h.update(pair.p.weights.astype("<f8").tobytes())
+        h.update(pair.p_prime.weights.astype("<f8").tobytes())
+        assert h.hexdigest() == digest
+        # above family B's ratio, so moves were accepted from its pair
+        assert rec.ratio > stability_ratio(family_b_pair(n, delta), params).ratio
 
     def test_deterministic(self):
         a = random_pair_search(3, 0.1, EntropyParams(1.0), iterations=1500, seed=7)
