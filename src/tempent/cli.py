@@ -17,6 +17,7 @@ Every subcommand is deterministic for a fixed argv (seeded RNG only).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import numbers
 import sys
@@ -109,6 +110,8 @@ def _greater_than(cast, bound):
     return parse
 
 
+# built once per process: parse_args leaves the parser as it found it
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tempent",

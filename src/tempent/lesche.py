@@ -25,6 +25,7 @@ for q < 1 its family-A ratio grows toward 1 with n at fixed delta.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -52,6 +53,10 @@ L1_TOL = 1e-12
 # L1_TOL: a pair the climb admits must never be one that PerturbPair then
 # rejects at L1_TOL.
 _CLIMB_L1_GUARD = L1_TOL / 10
+
+# climb moves drawn per numpy call; the moves do not depend on it, and it
+# caps the draw's memory (under 0.1 MB) whatever the step count
+_MOVE_BLOCK = 1024
 
 
 class Family(enum.Enum):
@@ -280,6 +285,26 @@ def sweep(
     return records
 
 
+def _climb_moves(rng: np.random.Generator, n: int, steps: int):
+    """The climb's (side, i, j) for each of `steps` moves, drawn in blocks.
+
+    Per step this is the draw of int(rng.integers(0, 2)) followed by
+    rng.choice(n, 2, replace=False), in values and in the stream read.
+    For two of n, choice runs Floyd's algorithm: a draw on [0, n-2], one on
+    [0, n-1] (taken as n-1 if it repeats the first), and a shuffle of the
+    two that swaps them when its draw on [0, 1] is 0.  Each of the four is
+    one bounded-integer draw, as is the side, so one rng.integers call with
+    the four bounds per row makes the same draws in the same order.
+    """
+    highs = np.array([2, n - 1, n, 2])
+    for done in range(0, steps, _MOVE_BLOCK):
+        rows = rng.integers(0, highs, size=(min(_MOVE_BLOCK, steps - done), 4))
+        side, first, second, keep = rows.T
+        second = np.where(second == first, n - 1, second)
+        i, j = np.where(keep, first, second), np.where(keep, second, first)
+        yield from zip(side.tolist(), i.tolist(), j.tolist())
+
+
 def random_pair_search(
     n: int,
     delta: float,
@@ -301,7 +326,12 @@ def random_pair_search(
     move changes two weights on one side, so a step tests it in O(1) from
     the two changed generator terms and L1 terms; a rejected step costs
     only that.  Each step draws one side, then one index pair, from the
-    seeded stream, so a given seed always gives the same climb.
+    seeded stream, so a given seed always gives the same climb.  The moves
+    are drawn in blocks, with the values and stream of one draw per step
+    (see _climb_moves), so memory does not grow with iterations.  The
+    generator terms are memoized for the call: the state changes only on
+    an accepted move, so a climb asks for few distinct arguments (29 on
+    the README search line), and a cached value has the same bits.
     """
     if not isinstance(n, numbers.Integral) or n < 2:
         raise DomainError(f"n must be an integer >= 2, got {n!r}")
@@ -337,14 +367,13 @@ def random_pair_search(
     cur = [pair.p.weights.copy(), pair.p_prime.weights.copy()]
     l1 = pair.l1_distance()
 
+    g = functools.cache(lambda x: generator(x, params))
     eps = delta / 10.0
     stall_limit = max(1, iterations // 5)
     stall = 0
-    for _ in range(iterations):
+    for side, i, j in _climb_moves(rng, n, iterations):
         # move mass within one side of the pair, keeping the other fixed
-        side = int(rng.integers(0, 2))
         target, other = cur[side], cur[1 - side]
-        i, j = rng.choice(n, size=2, replace=False)
         a, b = float(target[i]), float(target[j])
         oa, ob = float(other[i]), float(other[j])
         amt = min(eps, a)
@@ -356,10 +385,7 @@ def random_pair_search(
         stall += 1
         if new_l1 <= delta + _CLIMB_L1_GUARD:
             s = rec.s_p, rec.s_p_prime
-            s_new = s[side] + (
-                (generator(a_new, params) - generator(a, params))
-                + (generator(b_new, params) - generator(b, params))
-            )
+            s_new = s[side] + ((g(a_new) - g(a)) + (g(b_new) - g(b)))
             if abs(s_new - s[1 - side]) / smax > rec.ratio:
                 target[i], target[j] = a_new, b_new
                 pair, rec = scored(*map(make_dist, cur))

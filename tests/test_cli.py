@@ -1,4 +1,6 @@
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,3 +321,27 @@ class TestRowRule:
     def test_cells(self):
         cells = ("A_renyi", 10**8, np.int64(10**8), 0.1, np.float64(1 / 3), 2.0)
         assert cli._row(*cells) == "A_renyi,100000000,100000000,0.1,0.33333333,2"
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+
+class TestParserBuiltOnce:
+    def test_same_parser_every_run(self):
+        assert cli._parser() is cli._parser()
+
+    def test_interleaved_runs_print_reference_bytes(self, tmp_path, capsys):
+        # every README line through the one parser, to stdout and with --out
+        # alternating; the second pass runs them in reverse order
+        commands = json.loads((REFERENCE / "commands.json").read_text(encoding="utf-8"))
+        for order in (commands, commands[::-1]):
+            for cmd in order:
+                name, argv = cmd["name"], cmd["argv"]
+                want = (REFERENCE / f"{name}.stdout").read_bytes()
+                assert run(argv) == cmd["exit_code"]
+                assert capsys.readouterr().out.encode("utf-8") == want
+                if name != "entropy":  # the one command without --out
+                    path = tmp_path / f"{name}.csv"
+                    assert run(argv + ["--out", str(path)]) == cmd["exit_code"]
+                    assert path.read_bytes() == want
+                    assert capsys.readouterr().out == ""

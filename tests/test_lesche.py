@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from tempent import (
     sweep,
 )
 import tempent.lesche
-from tempent.lesche import L1_TOL, _family_entropies, _family_renyi
+from tempent.core import generator
+from tempent.lesche import (
+    L1_TOL,
+    _MOVE_BLOCK,
+    _climb_moves,
+    _family_entropies,
+    _family_renyi,
+)
 
 # frozen reference values, mpmath at 50 significant digits
 RATIO_A_N2 = 0.28639695711595613     # family A, n=2, delta=0.1, sigma=1, lam=0
@@ -597,3 +605,76 @@ class TestRandomPairSearch:
     def test_vector_beyond_numpy_limit_rejected(self, n, delta):
         with pytest.raises(DomainError, match=r"needs n <= sys.maxsize // 8"):
             random_pair_search(n, delta, EntropyParams(0.5), iterations=5)
+
+
+def moves_per_step(rng, n, steps):
+    """The climb's moves drawn one numpy call at a time, the reference."""
+    moves = []
+    for _ in range(steps):
+        side = int(rng.integers(0, 2))
+        i, j = rng.choice(n, size=2, replace=False)
+        moves.append((side, int(i), int(j)))
+    return moves
+
+
+class TestClimbMoves:
+    # the block draw relies on numpy drawing choice(n, 2, replace=False) as
+    # three bounded integers (Floyd's algorithm, then a two-element shuffle);
+    # a numpy that draws it otherwise fails here.  For n = 2**33 neither
+    # side may build a length-n array
+    @pytest.mark.parametrize("n", [2, 3, 5, 10_000, 10_001, 2**33])
+    @pytest.mark.parametrize(
+        "steps", [0, 1, _MOVE_BLOCK - 1, _MOVE_BLOCK, _MOVE_BLOCK + 1]
+    )
+    def test_same_moves_and_stream_as_per_step_draws(self, n, steps):
+        for seed in (0, 7, 2024):
+            blocks, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert list(_climb_moves(blocks, n, steps)) == moves_per_step(single, n, steps)
+            assert blocks.bit_generator.state == single.bit_generator.state
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_climb_does_not_depend_on_block_size(self, monkeypatch, block):
+        # a climb that accepts moves, so every step's draw matters
+        monkeypatch.setattr(tempent.lesche, "_FAMILY_MIN_N", {})
+        args = 5, 0.2, EntropyParams(0.5, 0.0)
+        want_pair, want = random_pair_search(*args, iterations=800, seed=3)
+        monkeypatch.setattr(tempent.lesche, "_MOVE_BLOCK", block)
+        pair, rec = random_pair_search(*args, iterations=800, seed=3)
+        assert rec == want
+        assert np.array_equal(pair.p.weights, want_pair.p.weights)
+        assert np.array_equal(pair.p_prime.weights, want_pair.p_prime.weights)
+
+    def test_generator_runs_once_per_distinct_argument(self, monkeypatch):
+        # the README search line: four generator terms per admitted step,
+        # up to 40 000 calls unmemoized, but few distinct arguments
+        args = []
+
+        def counted(x, params):
+            args.append(x)
+            return generator(x, params)
+
+        monkeypatch.setattr(tempent.lesche, "generator", counted)
+        params = EntropyParams(1.0, 0.0)
+        random_pair_search(3, 0.1, params, iterations=10_000, seed=7)
+        assert len(args) == len(set(args)) <= 30
+        # the memo lives for one call: a second call evaluates them again
+        first = list(args)
+        random_pair_search(3, 0.1, params, iterations=10_000, seed=7)
+        assert args == first + first
+
+    def test_memory_does_not_grow_with_iterations(self):
+        # the draw of all 100 000 moves at once would hold a 3.2 MB int64
+        # array, and ~6 MB with one list reference per drawn value
+        bound = 1_000_000
+        params = EntropyParams(1.0, 0.0)
+        random_pair_search(3, 0.1, params, iterations=10, seed=7)  # warm-up
+        tracemalloc.start()
+        try:
+            random_pair_search(3, 0.1, params, iterations=100_000, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            np.random.default_rng(7).integers(0, np.array([2, 2, 3, 2]), size=(100_000, 4))
+            _, all_at_once = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound < all_at_once
