@@ -1,11 +1,12 @@
 """Hunt for perturbation pairs worse than the structured families.
 
 The structured families probe the simplex corners by construction; the
-hill climb starts from the first of them with the highest ratio (from a
-random pair p = p' only at delta = 0, where no family applies) and moves
-mass in steps of delta/10 inside the L1 ball, cooling the step size when
-progress stalls.  Whatever it returns is certified: the pair re-measures
-its own L1 distance on construction.
+search scores each family's p against the two extremes of its L1 ball,
+the flattest point (highest entropy) and the steepest (lowest).  The
+entropy is Schur-concave, so for that p no pair in the ball does better,
+and family A's own perturbation is its flattest point.  Whatever it
+returns is certified: the pair re-measures its own L1 distance on
+construction.
 """
 
 from tempent import (

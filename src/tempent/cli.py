@@ -173,7 +173,10 @@ def _parser() -> argparse.ArgumentParser:
     p_se.add_argument("--delta", type=float, required=True)
     p_se.add_argument("--n", type=_num_list(int), required=True, help="one size")
     p_se.add_argument(
-        "--samples", type=_greater_than(int, 0), default=10_000, help="hill-climb steps"
+        "--samples",
+        type=_greater_than(int, 0),
+        default=10_000,
+        help="accepted and validated; has no effect on the result",
     )
     p_se.add_argument("--seed", type=_greater_than(int, -1), default=0)
     p_se.add_argument("--out", default=None)

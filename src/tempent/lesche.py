@@ -25,7 +25,6 @@ for q < 1 its family-A ratio grows toward 1 with n at fixed delta.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -46,17 +45,6 @@ from .core import (
 
 # measured L1 must certify against the declared budget this tightly
 L1_TOL = 1e-12
-
-# The climb admits a move while the exact L1 of its current pair, plus the
-# two L1 terms the move changes, stays within delta plus this margin.  That
-# sum carries one step's rounding (a few ulp of values <= 2), far inside
-# L1_TOL: a pair the climb admits must never be one that PerturbPair then
-# rejects at L1_TOL.
-_CLIMB_L1_GUARD = L1_TOL / 10
-
-# climb moves drawn per numpy call; the moves do not depend on it, and it
-# caps the draw's memory (under 0.1 MB) whatever the step count
-_MOVE_BLOCK = 1024
 
 
 class Family(enum.Enum):
@@ -285,24 +273,52 @@ def sweep(
     return records
 
 
-def _climb_moves(rng: np.random.Generator, n: int, steps: int):
-    """The climb's (side, i, j) for each of `steps` moves, drawn in blocks.
+def _lift(s, t: float) -> float:
+    """The level to which t of mass lifts the smallest of ascending weights s.
 
-    Per step this is the draw of int(rng.integers(0, 2)) followed by
-    rng.choice(n, 2, replace=False), in values and in the stream read.
-    For two of n, choice runs Floyd's algorithm: a draw on [0, n-2], one on
-    [0, n-1] (taken as n-1 if it repeats the first), and a shuffle of the
-    two that swaps them when its draw on [0, 1] is 0.  Each of the four is
-    one bounded-integer draw, as is the side, so one rng.integers call with
-    the four bounds per row makes the same draws in the same order.
+    The m smallest weights go to b = (t + their sum) / m, where m is the
+    first count whose lift to the next weight costs at least t (m = n when
+    no count does).
     """
-    highs = np.array([2, n - 1, n, 2])
-    for done in range(0, steps, _MOVE_BLOCK):
-        rows = rng.integers(0, highs, size=(min(_MOVE_BLOCK, steps - done), 4))
-        side, first, second, keep = rows.T
-        second = np.where(second == first, n - 1, second)
-        i, j = np.where(keep, first, second), np.where(keep, second, first)
-        yield from zip(side.tolist(), i.tolist(), j.tolist())
+    csum = np.cumsum(s)
+    cost = np.append(np.arange(1, len(s)) * s[1:] - csum[:-1], np.inf)
+    m = 1 + int(np.argmax(cost >= t))
+    return (t + csum[m - 1]) / m
+
+
+def _flattest(w, t: float):
+    """The flattest point of the ball ||v - w||_1 <= 2t on the simplex.
+
+    t of mass lifts the smallest weights to a floor b and t comes off the
+    largest down to a ceiling a (the same rule, mirrored); when b >= a the
+    ball holds the uniform point, which is then the answer.  Every other
+    point of the ball majorizes it, so a Schur-concave S peaks there.
+    """
+    s = np.sort(w)
+    b, a = _lift(s, t), -_lift(-s[::-1], t)
+    return np.full(len(w), 1.0 / len(w)) if b >= a else np.clip(w, b, a)
+
+
+def _steepest(w, t: float):
+    """The steepest point of the ball ||v - w||_1 <= 2t on the simplex.
+
+    min(t, mass outside the largest weight) drains from the smallest
+    weights upward into the largest (ties ordered by a stable argsort),
+    which is capped at 1.0 against rounding.  It majorizes every other
+    point of the ball, so a Schur-concave S is lowest there.
+    """
+    order = np.argsort(w, kind="stable")
+    s = w[order]
+    prefix = np.concatenate(([0.0], np.cumsum(s[:-1])))
+    amount = min(t, prefix[-1])
+    # the first k weights drain fully, the next one in part
+    k = int(np.searchsorted(prefix[1:], amount, side="right"))
+    s[k] = max(s[k] - (amount - prefix[k]), 0.0)
+    s[:k] = 0.0
+    s[-1] = min(s[-1] + amount, 1.0)
+    v = np.empty_like(s)
+    v[order] = s
+    return v
 
 
 def random_pair_search(
@@ -314,24 +330,21 @@ def random_pair_search(
 ) -> tuple[PerturbPair, StabilityRecord]:
     """Adversarial search for a high-ratio pair inside the L1 ball.
 
-    Hill climb over mass-transfer moves of size eps = delta/10, cooled by
-    half after iterations//5 consecutive non-improving steps.  It starts
-    from the first structured family with the highest ratio, so the result
-    is never below theirs.  Only where no family applies (delta = 0) does
-    it start from a seeded random pair p = p'; that pair is drawn for every
-    delta, so a seed's steps read the same stretch of the stream.
+    For each structured family that applies, its p is scored against the
+    two extremes of its ball ||p' - p||_1 <= delta: the flattest point,
+    where S is highest, and the steepest, where it is lowest.  S is a sum
+    of one concave term per outcome, hence Schur-concave, so for a fixed p
+    these two p' bound S over the whole ball (Hanson & Datta, J. Math.
+    Phys. 59, 042204 (2018)), and the better of them is the worst case for
+    that p.  Family A's own p' is the flattest point of its ball.  The
+    search is thus exact in p' for each start; that no other p does better
+    is a conjecture.
 
-    The start and each accepted move are RandomSearch PerturbPairs scored
-    by stability_ratio, at O(n): two make_dist and two entropy calls.  A
-    move changes two weights on one side, so a step tests it in O(1) from
-    the two changed generator terms and L1 terms; a rejected step costs
-    only that.  Each step draws one side, then one index pair, from the
-    seeded stream, so a given seed always gives the same climb.  The moves
-    are drawn in blocks, with the values and stream of one draw per step
-    (see _climb_moves), so memory does not grow with iterations.  The
-    generator terms are memoized for the call: the state changes only on
-    an accepted move, so a climb asks for few distinct arguments (29 on
-    the README search line), and a cached value has the same bits.
+    Each candidate is a RandomSearch PerturbPair scored by stability_ratio,
+    and the first with the highest ratio is returned.  At delta = 0 no
+    family applies, and the pair is a seeded random p = p'.  `iterations`
+    is validated but does not change the result; `seed` matters only at
+    delta = 0.
     """
     if not isinstance(n, numbers.Integral) or n < 2:
         raise DomainError(f"n must be an integer >= 2, got {n!r}")
@@ -342,57 +355,23 @@ def random_pair_search(
         raise DomainError(f"iterations must be an integer >= 0, got {iterations!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    rng = np.random.default_rng(seed)
-    smax = max_entropy(n, params)
 
     def scored(p: ProbDist, p_prime: ProbDist):
         """The certified search pair (p, p') and its record."""
         pair = PerturbPair(p, p_prime, delta, Family.RANDOM_SEARCH)
         return pair, stability_ratio(pair, params)
 
-    families = (
-        _family_pair(fam, n, delta)
-        for fam, min_n in _FAMILY_MIN_N.items()
-        if delta > 0.0 and n >= min_n
-    )
-    # max keeps the first of equal ratios, holding one family beside the best
-    starts = (scored(f.p, f.p_prime) for f in families)
-    best = max(starts, key=lambda start: start[1].ratio, default=None)
-    base = rng.standard_exponential(n)
-    if best is None:
+    if delta == 0.0:
+        base = np.random.default_rng(seed).standard_exponential(n)
         base /= base.sum()
-        best = scored(make_dist(base), make_dist(base))
-    pair, rec = best
-    # writable copies for the climb; pair and rec always hold the best state
-    cur = [pair.p.weights.copy(), pair.p_prime.weights.copy()]
-    l1 = pair.l1_distance()
-
-    g = functools.cache(lambda x: generator(x, params))
-    eps = delta / 10.0
-    stall_limit = max(1, iterations // 5)
-    stall = 0
-    for side, i, j in _climb_moves(rng, n, iterations):
-        # move mass within one side of the pair, keeping the other fixed
-        target, other = cur[side], cur[1 - side]
-        a, b = float(target[i]), float(target[j])
-        oa, ob = float(other[i]), float(other[j])
-        amt = min(eps, a)
-        # b + amt can round just above 1.0, which no weight may exceed
-        a_new, b_new = a - amt, min(b + amt, 1.0)
-        new_l1 = (
-            l1 + (abs(a_new - oa) - abs(a - oa)) + (abs(b_new - ob) - abs(b - ob))
-        )
-        stall += 1
-        if new_l1 <= delta + _CLIMB_L1_GUARD:
-            s = rec.s_p, rec.s_p_prime
-            s_new = s[side] + ((g(a_new) - g(a)) + (g(b_new) - g(b)))
-            if abs(s_new - s[1 - side]) / smax > rec.ratio:
-                target[i], target[j] = a_new, b_new
-                pair, rec = scored(*map(make_dist, cur))
-                l1 = pair.l1_distance()
-                stall = 0
-        if stall >= stall_limit:
-            eps *= 0.5
-            stall = 0
-
-    return pair, rec
+        return scored(make_dist(base), make_dist(base))
+    starts = (
+        _family_pair(fam, n, delta).p for fam, min_n in _FAMILY_MIN_N.items() if n >= min_n
+    )
+    candidates = (
+        scored(p, make_dist(extreme(p.weights, delta / 2.0)))
+        for p in starts
+        for extreme in (_flattest, _steepest)
+    )
+    # max keeps the first of equal ratios
+    return max(candidates, key=lambda c: c[1].ratio)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tempent.cli as cli
+import tempent.fracderiv as fracderiv
 from tempent.cli import run
 
 # one past the longest axis numpy can index
@@ -293,6 +294,16 @@ class TestVerifyFracCommand:
     def test_impossible_tol_exits_1(self, tmp_path):
         out = tmp_path / "vf.csv"
         assert run(["verify-frac", "--tol", "1e-13", "--out", str(out)]) == 1
+
+    def test_unreachable_quadrature_exits_1(self, monkeypatch, capsys):
+        def unreachable(c, sigma, tol=1e-10):
+            raise fracderiv.ToleranceNotReached("certified error exceeds tol")
+
+        monkeypatch.setattr(fracderiv, "laplace_singular_quad", unreachable)
+        assert run(["verify-frac"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: certified error exceeds tol\n"
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

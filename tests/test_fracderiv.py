@@ -95,6 +95,27 @@ class TestLaplaceQuad:
         with pytest.raises(ToleranceNotReached):
             laplace_singular_quad(1.0, 0.5, tol=1e-18)
 
+    # with full_output=1 quadpack returns its warning message as a fourth
+    # item when it could not meet the requested accuracy; the piece that
+    # gets it raises, quoting the message
+    @pytest.mark.parametrize("piece", ["lower", "upper"])
+    def test_quadpack_warning_raises(self, monkeypatch, piece):
+        import scipy.integrate
+
+        real_quad = scipy.integrate.quad
+
+        def quad(f, a, b, **kwargs):
+            result = real_quad(f, a, b, **kwargs)
+            if (a == 0.0) == (piece == "lower"):
+                return (*result[:3], "  The maximum number of subdivisions has been achieved.\n")
+            return result
+
+        monkeypatch.setattr(scipy.integrate, "quad", quad)
+        with pytest.raises(
+            ToleranceNotReached, match=f"^{piece} piece: The maximum number of subdivisions"
+        ):
+            laplace_singular_quad(1.0, 0.5)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             laplace_singular_quad(0.0, 0.5)

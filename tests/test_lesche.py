@@ -2,7 +2,6 @@ import hashlib
 import math
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,13 +23,13 @@ from tempent import (
     sweep,
 )
 import tempent.lesche
-from tempent.core import generator
+from tempent.core import SUM_TOL
 from tempent.lesche import (
     L1_TOL,
-    _MOVE_BLOCK,
-    _climb_moves,
     _family_entropies,
     _family_renyi,
+    _flattest,
+    _steepest,
 )
 
 # frozen reference values, mpmath at 50 significant digits
@@ -141,6 +140,12 @@ class TestPerturbPair:
         PerturbPair(make_dist([0.5, 0.5]), make_dist([0.5, 0.5]), 0.5, Family.RANDOM_SEARCH)
         with pytest.raises(DomainError):
             PerturbPair(make_dist([0.5, 0.5]), make_dist([0.5, 0.5]), 0.5, Family.CERTAINTY_A)
+
+    @pytest.mark.parametrize("delta", [-0.1, 2.5, math.nan])
+    def test_delta_outside_range_rejected(self, delta):
+        p = make_dist([0.5, 0.5])
+        with pytest.raises(DomainError, match=r"delta must lie in \[0, 2\]"):
+            PerturbPair(p, p, delta, Family.RANDOM_SEARCH)
 
     def test_delta_zero_identical_pair(self):
         p = make_dist([0.2, 0.8])
@@ -338,6 +343,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(["C"], [100], 1e-3, EntropyParams(0.5))
 
+    def test_no_family_rejected(self):
+        with pytest.raises(DomainError, match="need at least one family"):
+            sweep([], [100], 1e-3, EntropyParams(0.5))
+
+    @pytest.mark.parametrize("delta", [-1e-3, 1.5, math.nan])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(DomainError, match=r"delta must lie in \[0, 1\]"):
+            sweep(["A"], [100], delta, EntropyParams(0.5))
+
     def test_n_beyond_maxsize_stays_aggregated(self):
         # only explicit vectors are bounded by sys.maxsize, not sweep rows
         rows = sweep(["A", "B"], [sys.maxsize + 1], 0.1, EntropyParams(0.5))
@@ -398,41 +412,6 @@ CLIMB_GOLDEN = [
 ]
 
 
-# With no structured start the climb begins at the random pair p = p' and
-# accepts moves (236 of them in the n = 1e4 case, and 10 to 31 in the
-# others).  float.hex of (s_p, s_p_prime, ratio) and a sha256 of both weight
-# vectors, recorded from the climb that kept running sums of S and L1 and
-# re-evaluated them exactly every 256 steps
-FORCED_GOLDEN = [
-    ((10_000, 0.5, 1.0, 0.1, 0, 500), "0x1.0f9d7bdc07368p+1", "0x1.10119974ecab9p+1",
-     "0x1.a7216d21c7aaep-10",
-     "99705c91149451c1175ab7e3815d8cfd5491d5ef63ef4b9fd1a77323c6ff6611"),
-    ((5, 0.5, 0.0, 0.2, 3, 800), "0x1.1c39c0e4705dep+0", "0x1.f3ccefcbf427cp-1",
-     "0x1.b0e8f60d036c4p-4",
-     "af02079e737f7c64d3e7be2b3e6fa5dfe45987a3fce922fe2d4a2c7881052610"),
-    ((20, 0.25, 2.0, 0.5, 7, 2000), "0x1.b7d1c26b72fc0p-3", "0x1.22b9c3cbcd6c4p-2",
-     "0x1.cf1e39bbe1f33p-3",
-     "fc891e6e013ec81b69208e2b0fa04cf2591b336402960b1880f2eb889a994cfc"),
-    ((200, 0.75, 0.5, 0.05, 1, 1500), "0x1.74775c8bc114cp+1", "0x1.7858ba0a40b46p+1",
-     "0x1.3c284dd9017dep-7",
-     "ea711b2d29d04bba192ab4ec2a7ae34cda2d0dd8c6898879676144b414a75ba7"),
-]
-
-
-# With family B as the only structured start the climb accepts moves from
-# it.  float.hex of (s_p, s_p_prime, ratio) and a sha256 of both weight
-# vectors, recorded from the climb that scored its starts and accepted moves
-# through its own evaluator rather than stability_ratio
-B_START_GOLDEN = [
-    ((5, 0.2, 0.5, 1.0, 3, 800), "0x1.14090ab3886b4p-1", "0x1.346ae5933fe02p-1",
-     "0x1.a4f9b7525f1fap-4",
-     "6379c821649c3aacea132f8bc1f12044e11267c24bae068ced7a93309de6fa81"),
-    ((50, 0.1, 0.25, 0.0, 1, 1500), "0x1.67eac45999658p+0", "0x1.66efed5fc8a0ep+0",
-     "0x1.64b8039211b2ap-9",
-     "d928bae991a29f0df46391a78e643aa4efffb0f63a465d4525da197303fb87cf"),
-]
-
-
 @pytest.fixture
 def lesche_calls(monkeypatch):
     """Counts of the make_dist and entropy calls made inside lesche."""
@@ -482,63 +461,40 @@ class TestRandomPairSearch:
         random_pair_search(50, 0.1, params, iterations=3000, seed=2)
         assert calls == {k: 2 * v for k, v in base.items()}
 
-    @pytest.mark.parametrize(
-        "case,s_p,s_pp,ratio,digest", FORCED_GOLDEN,
-        ids=[f"n={case[0]}" for case, *_ in FORCED_GOLDEN],
-    )
-    def test_accepted_moves_golden(self, monkeypatch, case, s_p, s_pp, ratio, digest):
-        monkeypatch.setattr(tempent.lesche, "_FAMILY_MIN_N", {})
-        n, sigma, lam, delta, seed, iterations = case
-        params = EntropyParams(sigma, lam)
-        pair, rec = random_pair_search(n, delta, params, iterations=iterations, seed=seed)
-        assert (rec.s_p.hex(), rec.s_p_prime.hex(), rec.ratio.hex()) == (s_p, s_pp, ratio)
-        h = hashlib.sha256()
-        h.update(pair.p.weights.astype("<f8").tobytes())
-        h.update(pair.p_prime.weights.astype("<f8").tobytes())
-        assert h.hexdigest() == digest
-        # the start has ratio 0, so a positive ratio means accepted moves
-        assert rec.ratio > 0.0
-        assert pair.family is Family.RANDOM_SEARCH
-        assert pair.l1_distance() <= delta + L1_TOL
-        assert rec.s_p == entropy(pair.p, params)
-        assert rec.s_p_prime == entropy(pair.p_prime, params)
-
     def test_start_is_the_best_family_pair(self, lesche_calls):
-        # each family is built and scored once; the random pair p = p' is
-        # scored only where no family applies, and 0 steps return the start
+        # per family: its pair built once (two make_dist), then its p scored
+        # against each of its two extremes (one make_dist and two entropy
+        # calls each); the best is family A's own pair.  The random pair
+        # p = p' is scored only where no family applies, and iterations do
+        # not change the cost
         params = EntropyParams(0.5, 1.0)
         families = family_a_pair(50, 0.1), family_b_pair(50, 0.1)
         best = max(families, key=lambda pair: stability_ratio(pair, params).ratio)
         want = stability_ratio(best, params)
-        lesche_calls.update(entropy=0, make_dist=0)
-        pair, rec = random_pair_search(50, 0.1, params, iterations=0, seed=2)
-        assert lesche_calls == {"entropy": 4, "make_dist": 4}
-        assert (rec.s_p, rec.s_p_prime, rec.ratio) == (want.s_p, want.s_p_prime, want.ratio)
-        assert np.array_equal(pair.p.weights, best.p.weights)
-        assert np.array_equal(pair.p_prime.weights, best.p_prime.weights)
+        for iterations in (0, 5000):
+            lesche_calls.update(entropy=0, make_dist=0)
+            pair, rec = random_pair_search(50, 0.1, params, iterations=iterations, seed=2)
+            assert lesche_calls == {"entropy": 8, "make_dist": 8}
+            assert (rec.s_p, rec.s_p_prime, rec.ratio) == (want.s_p, want.s_p_prime, want.ratio)
+            assert np.array_equal(pair.p.weights, best.p.weights)
+            assert np.array_equal(pair.p_prime.weights, best.p_prime.weights)
         lesche_calls.update(entropy=0, make_dist=0)
         _, rec = random_pair_search(50, 0.0, params, iterations=0, seed=2)
         assert lesche_calls == {"entropy": 2, "make_dist": 2}
         assert rec.ratio == 0.0
 
-    @pytest.mark.parametrize(
-        "case,s_p,s_pp,ratio,digest", B_START_GOLDEN,
-        ids=[f"n={case[0]}" for case, *_ in B_START_GOLDEN],
-    )
-    def test_accepted_moves_from_family_b(
-        self, monkeypatch, case, s_p, s_pp, ratio, digest
-    ):
-        monkeypatch.setattr(tempent.lesche, "_FAMILY_MIN_N", {Family.UNIFORM_B: 3})
-        n, delta, sigma, lam, seed, iterations = case
-        params = EntropyParams(sigma, lam)
-        pair, rec = random_pair_search(n, delta, params, iterations=iterations, seed=seed)
-        assert (rec.s_p.hex(), rec.s_p_prime.hex(), rec.ratio.hex()) == (s_p, s_pp, ratio)
-        h = hashlib.sha256()
-        h.update(pair.p.weights.astype("<f8").tobytes())
-        h.update(pair.p_prime.weights.astype("<f8").tobytes())
-        assert h.hexdigest() == digest
-        # above family B's ratio, so moves were accepted from its pair
-        assert rec.ratio > stability_ratio(family_b_pair(n, delta), params).ratio
+    # An L1 certificate of absolute size L1_TOL admits pairs far outside a
+    # ball this small; the ball's extremes never leave it, so the search
+    # returns family A's pair, whose L1 is delta up to its rounded head
+    @pytest.mark.parametrize("delta", [1e-12, 1e-13, 1e-14])
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    def test_small_delta_returns_family_a(self, n, delta):
+        for sigma, lam in ((0.5, 1.0), (1.0, 0.0), (0.25, 2.0)):
+            params = EntropyParams(sigma, lam)
+            pair, rec = random_pair_search(n, delta, params, iterations=10_000, seed=7)
+            want = stability_ratio(family_a_pair(n, delta), params)
+            assert (rec.s_p, rec.s_p_prime, rec.ratio) == (want.s_p, want.s_p_prime, want.ratio)
+            assert pair.l1_distance() <= delta + L1_TOL
 
     def test_deterministic(self):
         a = random_pair_search(3, 0.1, EntropyParams(1.0), iterations=1500, seed=7)
@@ -607,74 +563,92 @@ class TestRandomPairSearch:
             random_pair_search(n, delta, EntropyParams(0.5), iterations=5)
 
 
-def moves_per_step(rng, n, steps):
-    """The climb's moves drawn one numpy call at a time, the reference."""
-    moves = []
-    for _ in range(steps):
-        side = int(rng.integers(0, 2))
-        i, j = rng.choice(n, size=2, replace=False)
-        moves.append((side, int(i), int(j)))
-    return moves
+
+# 4 ulp at 1.0: no point of a ball may beat its extremes by more than
+# the rounding of two entropy sums of a few terms each
+EXTREME_TOL = 4 * 2.0**-52
 
 
-class TestClimbMoves:
-    # the block draw relies on numpy drawing choice(n, 2, replace=False) as
-    # three bounded integers (Floyd's algorithm, then a two-element shuffle);
-    # a numpy that draws it otherwise fails here.  For n = 2**33 neither
-    # side may build a length-n array
-    @pytest.mark.parametrize("n", [2, 3, 5, 10_000, 10_001, 2**33])
-    @pytest.mark.parametrize(
-        "steps", [0, 1, _MOVE_BLOCK - 1, _MOVE_BLOCK, _MOVE_BLOCK + 1]
-    )
-    def test_same_moves_and_stream_as_per_step_draws(self, n, steps):
-        for seed in (0, 7, 2024):
-            blocks, single = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert list(_climb_moves(blocks, n, steps)) == moves_per_step(single, n, steps)
-            assert blocks.bit_generator.state == single.bit_generator.state
+def ball_points(rng, w, t, count):
+    """Points of the ball ||v - w||_1 <= 2t on the simplex.
 
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_climb_does_not_depend_on_block_size(self, monkeypatch, block):
-        # a climb that accepts moves, so every step's draw matters
-        monkeypatch.setattr(tempent.lesche, "_FAMILY_MIN_N", {})
-        args = 5, 0.2, EntropyParams(0.5, 0.0)
-        want_pair, want = random_pair_search(*args, iterations=800, seed=3)
-        monkeypatch.setattr(tempent.lesche, "_MOVE_BLOCK", block)
-        pair, rec = random_pair_search(*args, iterations=800, seed=3)
-        assert rec == want
-        assert np.array_equal(pair.p.weights, want_pair.p.weights)
-        assert np.array_equal(pair.p_prime.weights, want_pair.p_prime.weights)
+    w moves toward random simplex points (sparse Dirichlet draws) and every
+    vertex, half of them all the way to the sphere and half part way.
+    """
+    n = len(w)
+    q = np.vstack([rng.dirichlet(np.full(n, 0.3), count), np.eye(n)])
+    reach = 2.0 * t / np.maximum(np.abs(q - w).sum(axis=1), 2.0 * t)
+    reach[::2] *= rng.uniform(size=len(reach[::2]))
+    return (1.0 - reach)[:, None] * w + reach[:, None] * q
 
-    def test_generator_runs_once_per_distinct_argument(self, monkeypatch):
-        # the README search line: four generator terms per admitted step,
-        # up to 40 000 calls unmemoized, but few distinct arguments
-        args = []
 
-        def counted(x, params):
-            args.append(x)
-            return generator(x, params)
+class TestBallExtremes:
+    """The flattest and steepest points of an L1 ball on the simplex."""
 
-        monkeypatch.setattr(tempent.lesche, "generator", counted)
-        params = EntropyParams(1.0, 0.0)
-        random_pair_search(3, 0.1, params, iterations=10_000, seed=7)
-        assert len(args) == len(set(args)) <= 30
-        # the memo lives for one call: a second call evaluates them again
-        first = list(args)
-        random_pair_search(3, 0.1, params, iterations=10_000, seed=7)
-        assert args == first + first
+    def test_no_sampled_point_beyond_the_extremes(self):
+        # 300 configurations (n <= 6, about a third of the weights zero,
+        # t log-uniform on [1e-6, 1], sigma on (0, 1], lam on [0, 3]),
+        # 100 sampled points plus the n vertex directions each
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            w = rng.dirichlet(np.ones(n)) * (rng.uniform(size=n) > 0.3)
+            if not w.any():
+                w[int(rng.integers(n))] = 1.0
+            w /= w.sum()
+            t = 10.0 ** rng.uniform(-6.0, 0.0)
+            params = EntropyParams(rng.uniform(0.05, 1.0), rng.uniform(0.0, 3.0))
+            flat, steep = _flattest(w, t), _steepest(w, t)
+            for v in (flat, steep):
+                assert np.abs(v - w).sum() <= 2.0 * t + L1_TOL
+                assert abs(v.sum() - 1.0) <= SUM_TOL
+            s_flat = entropy(make_dist(flat), params)
+            s_steep = entropy(make_dist(steep), params)
+            for v in ball_points(rng, w, t, 100):
+                s = entropy(make_dist(v), params)
+                assert s_steep - EXTREME_TOL <= s <= s_flat + EXTREME_TOL
 
-    def test_memory_does_not_grow_with_iterations(self):
-        # the draw of all 100 000 moves at once would hold a 3.2 MB int64
-        # array, and ~6 MB with one list reference per drawn value
-        bound = 1_000_000
-        params = EntropyParams(1.0, 0.0)
-        random_pair_search(3, 0.1, params, iterations=10, seed=7)  # warm-up
-        tracemalloc.start()
-        try:
-            random_pair_search(3, 0.1, params, iterations=100_000, seed=7)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            np.random.default_rng(7).integers(0, np.array([2, 2, 3, 2]), size=(100_000, 4))
-            _, all_at_once = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound < all_at_once
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 17, 100, 1000, 10_000])
+    def test_flattest_of_certainty_is_family_a(self, n):
+        for delta in (1e-14, 1e-13, 1e-12, 1e-11, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0):
+            pair = family_a_pair(n, delta)
+            flat = _flattest(pair.p.weights, delta / 2.0)
+            assert flat.tobytes() == pair.p_prime.weights.tobytes()
+
+    # family B's p lies 2/n from the uniform point, so the ball holds it
+    # exactly when n >= 2/delta
+    @pytest.mark.parametrize("delta,n_inside,n_outside", [
+        (1e-3, 2001, 1999), (0.1, 21, 19), (0.5, 5, 3), (1.0, 3, None),
+    ])
+    def test_flattest_is_uniform_when_the_ball_holds_it(self, delta, n_inside, n_outside):
+        for n in (n_inside, 10 * n_inside):
+            flat = _flattest(family_b_pair(n, delta).p.weights, delta / 2.0)
+            assert np.array_equal(flat, np.full(n, 1.0 / n))
+        if n_outside is not None:
+            w = family_b_pair(n_outside, delta).p.weights
+            flat = _flattest(w, delta / 2.0)
+            assert len(set(flat.tolist())) == 2
+            assert abs(np.abs(flat - w).sum() - delta) <= L1_TOL
+
+    def test_steepest_caps_the_top_at_one(self):
+        # draining all eight tails of 1/9 into the ninth sums to
+        # 1.0000000000000002, which no weight may exceed
+        w = family_b_pair(10, 0.1).p.weights
+        steep = _steepest(w, 1.0)
+        assert steep.tolist() == [0.0] * 9 + [1.0]
+        make_dist(steep)
+
+    def test_steepest_skips_zeros_and_breaks_ties_in_index_order(self):
+        w = np.array([0.0, 0.3, 0.0, 0.7])
+        assert _steepest(w, 0.1).tolist() == [0.0, 0.3 - 0.1, 0.0, 0.7 + 0.1]
+        # of equal weights the last is the top and the first drains first;
+        # 30 weights, too many for a sort that is stable only when short
+        w = np.tile([0.0, 0.05, 0.05], 10)
+        want = w.copy()
+        want[[1, 2]] = 0.0
+        want[4] = 0.05 - (0.12 - 0.1)
+        want[29] = 0.05 + 0.12
+        assert _steepest(w, 0.12).tolist() == want.tolist()
+        # a point mass has nothing outside its top, so it stays put
+        w = np.array([0.0, 1.0, 0.0])
+        assert _steepest(w, 0.2).tolist() == w.tolist()
