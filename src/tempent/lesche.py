@@ -13,10 +13,11 @@ danger zones:
   family B ("uniform with hole")  p  = (0, 1/(n-1), ..., 1/(n-1))
                                   p' = (delta/2, (1-delta/2)/(n-1), ...)
 
-Both have exact L1 distance delta.  Because each family is one head value
-plus n-1 identical tail values, S(p) costs two generator calls regardless
-of n, so sweeps run to n = 1e8 in constant time per row; the aggregated
-path is cross-checked against explicit weight vectors in the tests.
+Both have L1 distance delta within L1_TOL (family A's head 1 - delta/2
+rounds).  Because each family is one head value plus n-1 identical tail
+values, S(p) costs two generator calls regardless of n, so sweeps take any
+integer n in the float range in constant time per row; the aggregated path
+is cross-checked against explicit weight vectors in the tests.
 
 The Renyi entropy ln(sum p_i**q)/(1-q) is included as a negative control:
 for q < 1 its family-A ratio grows toward 1 with n at fixed delta.
@@ -119,17 +120,20 @@ def _family_weights(family: Family, n: int, delta: float):
     return (0.0, 1.0 / (n - 1)), (delta / 2.0, (1.0 - delta / 2.0) / (n - 1))
 
 
+def _head_tail(n: int, head: float, tail: float) -> ProbDist:
+    """The validated distribution (head, tail, ..., tail) over n outcomes."""
+    w = np.full(n, tail)
+    w[0] = head
+    return make_dist(w)
+
+
 def _family_pair(family: Family, n: int, delta: float) -> PerturbPair:
     """The explicit pair of a structured family, certified by PerturbPair."""
     if not (0.0 < delta <= 1.0):
         raise DomainError(f"family {family.value} needs delta in (0, 1], got {delta!r}")
     # the aggregated path takes any n in the float range; a numpy vector cannot
     core._check_fits(f"family {family.value} vector", n=n)
-    sides = []
-    for head, tail in _family_weights(family, n, delta):
-        w = np.full(n, tail)
-        w[0] = head
-        sides.append(make_dist(w))
+    sides = (_head_tail(n, *side) for side in _family_weights(family, n, delta))
     return PerturbPair(*sides, delta, family)
 
 
@@ -233,7 +237,7 @@ def sweep(
                labelled "<family>_renyi", normalized by ln n
 
     Rows are ordered by (family label, n).  Everything is evaluated
-    through the aggregated O(1) path, so n up to 1e8 is fine.
+    through the aggregated O(1) path, for any integer n in the float range.
     """
     fams = [Family(f) for f in families]
     if not fams:
@@ -273,52 +277,46 @@ def sweep(
     return records
 
 
-def _lift(s, t: float) -> float:
-    """The level to which t of mass lifts the smallest of ascending weights s.
+def _extremes(w, t: float):
+    """(flattest, steepest) of the ball ||v - w||_1 <= 2t on the simplex.
 
-    The m smallest weights go to b = (t + their sum) / m, where m is the
-    first count whose lift to the next weight costs at least t (m = n when
-    no count does).
+    One stable argsort and its ascending prefix sum serve both.  Flattest:
+    t lifts the m smallest weights to b = (t + their sum) / m, m the first
+    count whose lift to the next weight costs at least t (else n), and t
+    comes off the largest down to a ceiling a by the mirrored rule on a
+    descending sum; b >= a means the ball holds the uniform point.
+    Steepest: min(t, mass outside the top weight) drains from the smallest
+    upward (ties in index order) into the top, capped at 1.0 against
+    rounding.  Each other point of the ball majorizes the flattest and is
+    majorized by the steepest, so a Schur-concave S peaks at the one and is
+    lowest at the other.
     """
-    csum = np.cumsum(s)
-    cost = np.append(np.arange(1, len(s)) * s[1:] - csum[:-1], np.inf)
-    m = 1 + int(np.argmax(cost >= t))
-    return (t + csum[m - 1]) / m
-
-
-def _flattest(w, t: float):
-    """The flattest point of the ball ||v - w||_1 <= 2t on the simplex.
-
-    t of mass lifts the smallest weights to a floor b and t comes off the
-    largest down to a ceiling a (the same rule, mirrored); when b >= a the
-    ball holds the uniform point, which is then the answer.  Every other
-    point of the ball majorizes it, so a Schur-concave S peaks there.
-    """
-    s = np.sort(w)
-    b, a = _lift(s, t), -_lift(-s[::-1], t)
-    return np.full(len(w), 1.0 / len(w)) if b >= a else np.clip(w, b, a)
-
-
-def _steepest(w, t: float):
-    """The steepest point of the ball ||v - w||_1 <= 2t on the simplex.
-
-    min(t, mass outside the largest weight) drains from the smallest
-    weights upward into the largest (ties ordered by a stable argsort),
-    which is capped at 1.0 against rounding.  It majorizes every other
-    point of the ball, so a Schur-concave S is lowest there.
-    """
+    n = len(w)
     order = np.argsort(w, kind="stable")
     s = w[order]
-    prefix = np.concatenate(([0.0], np.cumsum(s[:-1])))
-    amount = min(t, prefix[-1])
+    up, down = np.cumsum(s), np.cumsum(s[::-1])
+    counts = np.arange(1.0, n)
+
+    def first(cost) -> int:
+        hit = cost >= t
+        i = int(np.argmax(hit))
+        return i + 1 if hit[i] else n
+
+    m = first(counts * s[1:] - up[:-1])
+    b = (t + up[m - 1]) / m
+    m = first(down[:-1] - counts * s[-2::-1])
+    a = (down[m - 1] - t) / m
+    flattest = np.full(n, 1.0 / n) if b >= a else np.clip(w, b, a)
+
+    amount = min(t, up[-2])
     # the first k weights drain fully, the next one in part
-    k = int(np.searchsorted(prefix[1:], amount, side="right"))
-    s[k] = max(s[k] - (amount - prefix[k]), 0.0)
+    k = int(np.searchsorted(up[:-1], amount, side="right"))
+    s[k] = max(s[k] - (amount - (up[k - 1] if k else 0.0)), 0.0)
     s[:k] = 0.0
     s[-1] = min(s[-1] + amount, 1.0)
-    v = np.empty_like(s)
-    v[order] = s
-    return v
+    steepest = np.empty_like(s)
+    steepest[order] = s
+    return flattest, steepest
 
 
 def random_pair_search(
@@ -336,7 +334,8 @@ def random_pair_search(
     of one concave term per outcome, hence Schur-concave, so for a fixed p
     these two p' bound S over the whole ball (Hanson & Datta, J. Math.
     Phys. 59, 042204 (2018)), and the better of them is the worst case for
-    that p.  Family A's own p' is the flattest point of its ball.  The
+    that p.  Both extremes of a start share one sort and one prefix sum,
+    O(n log n).  Family A's own p' is the flattest point of its ball.  The
     search is thus exact in p' for each start; that no other p does better
     is a conjecture.
 
@@ -364,14 +363,14 @@ def random_pair_search(
     if delta == 0.0:
         base = np.random.default_rng(seed).standard_exponential(n)
         base /= base.sum()
-        return scored(make_dist(base), make_dist(base))
-    starts = (
-        _family_pair(fam, n, delta).p for fam, min_n in _FAMILY_MIN_N.items() if n >= min_n
-    )
+        p = make_dist(base)
+        return scored(p, p)
+    heads = (_family_weights(f, n, delta)[0] for f, m in _FAMILY_MIN_N.items() if n >= m)
+    starts = (_head_tail(n, *head) for head in heads)
     candidates = (
-        scored(p, make_dist(extreme(p.weights, delta / 2.0)))
+        scored(p, make_dist(extreme))
         for p in starts
-        for extreme in (_flattest, _steepest)
+        for extreme in _extremes(p.weights, delta / 2.0)
     )
     # max keeps the first of equal ratios
     return max(candidates, key=lambda c: c[1].ratio)
