@@ -22,7 +22,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -102,19 +102,30 @@ def _sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
     return w
 
 
+def _replay(gaps: np.ndarray, rescore: Callable[..., AxiomReport]) -> AxiomReport:
+    """The report of the first largest gap, counting every gap in the batch.
+
+    np.argmax keeps the first of equal maxima, so ties go to the earliest
+    entry in row-major (draw) order.  rescore(*index) scores that case
+    again through its scalar check, so the reported value replays exactly
+    from its witness.
+    """
+    index = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    return replace(rescore(*map(int, index)), samples_checked=gaps.size)
+
+
 def check_nonnegativity(
     n: int, params: EntropyParams, samples: int = 10_000, seed: int = 0
 ) -> AxiomReport:
     """S(p) >= 0 over sampled distributions; violation is -min S."""
     w = _sample_matrix(n, samples, seed)
-    s = core._entropy_rows(w, params)
-    i = int(np.argmin(s))
-    worst_p = make_dist(w[i])
-    # re-evaluate through the scalar path so the witness reproduces exactly
-    worst = -entropy(worst_p, params)
-    return AxiomReport(
-        Axiom.NONNEGATIVITY, samples, worst, {"p": worst_p, "params": params}
-    )
+
+    def rescore(i: int) -> AxiomReport:
+        p = make_dist(w[i])
+        worst = -entropy(p, params)
+        return AxiomReport(Axiom.NONNEGATIVITY, 1, worst, {"p": p, "params": params})
+
+    return _replay(-core._entropy_rows(w, params), rescore)
 
 
 def check_maximality(
@@ -126,13 +137,13 @@ def check_maximality(
     re-evaluates to exactly the reported margin.
     """
     w = _sample_matrix(n, samples, seed)
-    s = core._entropy_rows(w, params)
-    i = int(np.argmax(s))
-    worst_p = make_dist(w[i])
-    worst = entropy(worst_p, params) - max_entropy(n, params)
-    return AxiomReport(
-        Axiom.MAXIMALITY, samples, worst, {"p": worst_p, "params": params}
-    )
+
+    def rescore(i: int) -> AxiomReport:
+        p = make_dist(w[i])
+        worst = entropy(p, params) - max_entropy(n, params)
+        return AxiomReport(Axiom.MAXIMALITY, 1, worst, {"p": p, "params": params})
+
+    return _replay(core._entropy_rows(w, params), rescore)
 
 
 def check_expansibility(p: ProbDist, params: EntropyParams) -> AxiomReport:
@@ -157,14 +168,15 @@ def check_generator_concavity(params: EntropyParams) -> AxiomReport:
     """
     h = 1e-4
     x = np.linspace(0.005, 0.995, 199)
+    # a one-outcome row's entropy is f at its weight
+    lo, mid, hi = (core._entropy_rows(v[:, None], params) for v in (x - h, x, x + h))
+    d2 = (lo - 2.0 * mid + hi) / (h * h)
 
-    def f(v: np.ndarray) -> np.ndarray:
-        return v * core._power_gap(-np.log(v), params.sigma, params.lam)
+    def rescore(i: int) -> AxiomReport:
+        witness = {"x": float(x[i]), "h": h, "params": params}
+        return AxiomReport(Axiom.GENERATOR_CONCAVITY, 1, float(d2[i]), witness)
 
-    d2 = (f(x - h) - 2.0 * f(x) + f(x + h)) / (h * h)
-    i = int(np.argmax(d2))
-    witness = {"x": float(x[i]), "h": h, "params": params}
-    return AxiomReport(Axiom.GENERATOR_CONCAVITY, x.size, float(d2[i]), witness)
+    return _replay(d2, rescore)
 
 
 def check_entropy_concavity(
@@ -198,8 +210,9 @@ def check_lambda_inequality(p: ProbDist, sigma: float, lam: float) -> AxiomRepor
 
 def check_power_subadditivity(x: float, y: float, alpha: float) -> AxiomReport:
     """(x + y)**alpha <= x**alpha + y**alpha for x, y >= 0, alpha in (0, 1)."""
-    if not (math.isfinite(x) and math.isfinite(y)) or x < 0.0 or y < 0.0:
-        raise DomainError(f"need finite x, y >= 0, got x={x!r}, y={y!r}")
+    # x + y is finite only when x and y are, and (x + y)**alpha needs it
+    if not math.isfinite(x + y) or x < 0.0 or y < 0.0:
+        raise DomainError(f"need x, y >= 0 with a finite sum, got x={x!r}, y={y!r}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     worst = (x + y) ** alpha - (x**alpha + y**alpha)
@@ -208,23 +221,15 @@ def check_power_subadditivity(x: float, y: float, alpha: float) -> AxiomReport:
     )
 
 
-def _worst(reports: list[AxiomReport]) -> AxiomReport:
-    """The report with the largest violation, counting every report checked.
-
-    max() keeps the first of equal maxima, so ties go to the earliest draw.
-    """
-    worst = max(reports, key=lambda r: r.worst_violation)
-    return replace(worst, samples_checked=len(reports))
-
-
 def run_axiom_suite(
     n: int, params: EntropyParams, samples: int = 10_000, seed: int = 0
 ) -> list[AxiomReport]:
     """Run every check for one (n, params) configuration.
 
     Sampled checks draw `samples` points; pairwise and pointwise checks
-    reduce their worst case over fixed deterministic grids plus seeded
-    draws, and the aggregate is reported as a single row per axiom.
+    score fixed deterministic grids plus seeded draws in batch.  Each row
+    reports the first largest violation in draw order, re-scored through
+    its scalar check, and counts every case scored.
     Deterministic for a given (n, params, samples, seed).
     """
     reports = [
@@ -233,20 +238,15 @@ def run_axiom_suite(
     ]
 
     # expansibility: exact equality on a handful of draws
-    reports.append(
-        _worst(
-            [
-                check_expansibility(p, params)
-                for p in sample_simplex(n, min(samples, 64), seed + 2)
-            ]
-        )
-    )
+    draws = sample_simplex(n, min(samples, 64), seed + 2)
+    exp = [check_expansibility(p, params) for p in draws]
+    gaps = np.array([r.worst_violation for r in exp])
+    reports.append(_replay(gaps, exp.__getitem__))
 
     reports.append(check_generator_concavity(params))
 
     # entropy concavity: seeded pairs crossed with a fixed t-grid, scored in
-    # batch one t at a time; the first maximum in pair-major, t-minor order
-    # is re-scored through the single check so its witness replays exactly
+    # batch one t at a time, pair-major and t-minor
     n_pairs = min(samples, 256)
     ps = _sample_matrix(n, n_pairs, seed + 3)
     qs = _sample_matrix(n, n_pairs, seed + 4)
@@ -257,31 +257,22 @@ def run_axiom_suite(
         mix = t * ps + (1.0 - t) * qs
         core._check_rows(mix)
         gaps[:, j] = t * s_p + (1.0 - t) * s_q - core._entropy_rows(mix, params)
-    i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    worst = check_entropy_concavity(
-        make_dist(ps[i]), make_dist(qs[i]), t_grid[j], params
-    )
-    reports.append(replace(worst, samples_checked=gaps.size))
+    reports.append(_replay(gaps, lambda i, j: check_entropy_concavity(
+        make_dist(ps[i]), make_dist(qs[i]), t_grid[j], params)))
 
-    # lambda inequality over fresh draws, scored the same way
+    # lambda inequality over fresh draws
     w = _sample_matrix(n, min(samples, 512), seed + 5)
     untempered = EntropyParams(params.sigma, 0.0)
     gaps = core._entropy_rows(w, params) - core._entropy_rows(w, untempered)
-    worst = check_lambda_inequality(
-        make_dist(w[int(np.argmax(gaps))]), params.sigma, params.lam
-    )
-    reports.append(replace(worst, samples_checked=gaps.size))
+    reports.append(_replay(gaps, lambda i: check_lambda_inequality(
+        make_dist(w[i]), params.sigma, params.lam)))
 
     # power subadditivity on a fixed (alpha, x, y) grid, alpha=1 excluded
-    # (equality case); the argmax is re-scored through the scalar check so
-    # its witness replays exactly
+    # (equality case)
     xs = np.linspace(0.0, 5.0, 21)
     alphas = np.linspace(0.05, 0.95, 19)[:, None, None]
     x, y = xs[:, None], xs[None, :]
-    gap = (x + y) ** alphas - (x**alphas + y**alphas)
-    k, jx, jy = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    worst = check_power_subadditivity(
-        float(xs[jx]), float(xs[jy]), float(alphas[k, 0, 0])
-    )
-    reports.append(replace(worst, samples_checked=gap.size))
+    gaps = (x + y) ** alphas - (x**alphas + y**alphas)
+    reports.append(_replay(gaps, lambda k, i, j: check_power_subadditivity(
+        float(xs[i]), float(xs[j]), float(alphas[k, 0, 0]))))
     return reports

@@ -235,8 +235,11 @@ class TestPowerSubadditivity:
         with pytest.raises(DomainError):
             check_power_subadditivity(1.0, 1.0, 1.0)
 
+    # the last pair is finite, but its sum overflows to inf
     @pytest.mark.parametrize(
-        "x,y", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+        "x,y",
+        [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+         (1e308, 1e308)],
     )
     def test_non_finite_rejected(self, x, y):
         with pytest.raises(DomainError, match="finite"):
@@ -287,6 +290,27 @@ SUITE_GOLDEN = [
 ]
 
 
+class TestReplay:
+    def rescore(self, *index):
+        return AxiomReport(Axiom.MAXIMALITY, 1, float(sum(index)), {"index": index})
+
+    @pytest.mark.parametrize(
+        "shape,ties",
+        [((3, 4), [(1, 2), (2, 0), (2, 3)]),
+         ((2, 3, 4), [(0, 2, 1), (1, 0, 0), (1, 2, 3)])],
+        ids=["2-D", "3-D"],
+    )
+    def test_first_largest_in_row_major_order(self, shape, ties):
+        gaps = np.full(shape, -1.0)
+        for index in reversed(ties):
+            gaps[index] = 0.5
+        rep = axioms._replay(gaps, self.rescore)
+        assert rep.witness["index"] == ties[0]
+        assert all(type(k) is int for k in rep.witness["index"])
+        assert rep.samples_checked == gaps.size
+        assert rep.worst_violation == float(sum(ties[0]))
+
+
 class TestSuite:
     @pytest.mark.parametrize("case,rows,digest", SUITE_GOLDEN)
     def test_golden_rows(self, case, rows, digest):
@@ -304,18 +328,24 @@ class TestSuite:
             h.update(w.weights.astype("<f8").tobytes())
         h.update(cc.witness["t"].hex().encode())
         assert h.hexdigest() == digest
-        # each aggregated row replays exactly through its single check
+        # each row replays exactly from its witness
+        nn, mx, ps = reps[0], reps[1], reps[6]
         replays = [
-            check_expansibility(exp.witness["p"], params),
+            -entropy(nn.witness["p"], params),
+            entropy(mx.witness["p"], params) - max_entropy(n, params),
+            check_expansibility(exp.witness["p"], params).worst_violation,
             check_entropy_concavity(
                 cc.witness["p"], cc.witness["q"], cc.witness["t"], params
-            ),
+            ).worst_violation,
             check_lambda_inequality(
                 li.witness["p"], li.witness["sigma"], li.witness["lam"]
-            ),
+            ).worst_violation,
+            check_power_subadditivity(
+                ps.witness["x"], ps.witness["y"], ps.witness["alpha"]
+            ).worst_violation,
         ]
-        assert [r.worst_violation for r in replays] == [
-            r.worst_violation for r in (exp, cc, li)
+        assert [v.hex() for v in replays] == [
+            r.worst_violation.hex() for r in (nn, mx, exp, cc, li, ps)
         ]
 
     @pytest.mark.parametrize(
